@@ -430,10 +430,11 @@ def cmd_pipeline(ns, config) -> None:
     domain_path = out / "domain_embeddings.vec"
 
     # 6. impute missing vectors and merge into the trained model
+    merged_path = Path(ns.merged_out) if ns.merged_out else out / "merged.vec"
     ns_imp = argparse.Namespace(**vars(ns))
     ns_imp.semantic = str(semantic_path)
     ns_imp.domain = str(domain_path)
-    ns_imp.merged_out = str(out / "merged.vec")
+    ns_imp.merged_out = str(merged_path)
     cmd_impute(ns_imp, config)
 
     # 7. alignment baseline over the same inputs
@@ -443,7 +444,7 @@ def cmd_pipeline(ns, config) -> None:
 
     # 8. evaluate the imputed model
     ns_ev = argparse.Namespace(**vars(ns))
-    ns_ev.embeddings = str(out / "merged.vec")
+    ns_ev.embeddings = str(merged_path)
     ns_ev.dataset = str(dataset_path)
     ns_ev.trained_vocab = str(trained_path)
     ns_ev.imputed_vocab = str(imputed_path)
@@ -452,7 +453,7 @@ def cmd_pipeline(ns, config) -> None:
     write_manifest(
         out, "pipeline", eval_values,
         {"dump": dump, "corpus": corpus, "dataset": dataset_path},
-        [out / "merged.vec", out / "eval_report.json"], started,
+        [merged_path, out / "eval_report.json"], started,
     )
     print(f"pipeline finished in {time.time() - started:.1f}s; artifacts in {out}")
 
@@ -577,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["error", "anchor-mean"])
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--resamples", type=int)
-    p.add_argument("--merged-out")
+    p.add_argument("--merged-out", help="merged embeddings path (default: <out-dir>/merged.vec)")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_pipeline)
 

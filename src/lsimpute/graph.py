@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import logging
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
@@ -26,25 +27,32 @@ _TRIPLE_RE = re.compile(
     rf"^\s*{_IRI}\s+{_IRI}\s+(?:{_IRI}|{_LITERAL})\s*\.\s*$"
 )
 
-_ESCAPES = {"\\n": "\n", "\\t": "\t", "\\r": "\r", '\\"': '"', "\\\\": "\\"}
+# ECHAR and UCHAR of W3C RDF 1.1 N-Triples, section 2.4
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(?:([tbnrf\"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))")
+
+
+def _decode_escape(m: re.Match) -> str:
+    echar, u4, u8 = m.groups()
+    if echar is not None:
+        return _ECHARS[echar]
+    code = int(u4 or u8, 16)
+    return chr(code) if code <= sys.maxunicode else m.group(0)
 
 
 def _unescape(literal: str) -> str:
+    """Decode every escape in one left-to-right pass; unknown escapes stay as written."""
     if "\\" not in literal:
         return literal
-    out = literal
-    for esc, ch in _ESCAPES.items():
-        out = out.replace(esc, ch)
-    return out
+    return _ESCAPE_RE.sub(_decode_escape, literal)
 
 
-@dataclass
+@dataclass(slots=True)
 class Triple:
     subject: str
     predicate: str
     obj: str
     is_literal: bool
-    lineno: int
 
 
 @dataclass
@@ -71,10 +79,11 @@ def parse_ntriples(lines: Iterable[str]) -> TripleSet:
                 logger.warning("skipping malformed line %d: %s", lineno, stripped[:120])
             continue
         s, p, o_iri, o_lit = m.groups()
+        p = sys.intern(p)  # a dump has few distinct predicates
         if o_iri is not None:
-            triples.append(Triple(s, p, o_iri, False, lineno))
+            triples.append(Triple(s, p, o_iri, False))
         else:
-            triples.append(Triple(s, p, _unescape(o_lit), True, lineno))
+            triples.append(Triple(s, p, _unescape(o_lit), True))
     if skipped:
         logger.warning("skipped %d malformed lines in total", skipped)
     return TripleSet(triples, skipped)

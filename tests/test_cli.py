@@ -205,3 +205,25 @@ def test_pipeline_end_to_end(fixture_files, capsys):
 
     table = capsys.readouterr().out
     assert "trained/trained" in table
+
+
+def test_pipeline_honours_merged_out(fixture_files):
+    files, tmp_path = fixture_files
+    out = tmp_path / "run_custom"
+    merged_path = tmp_path / "elsewhere" / "custom.vec"
+    merged_path.parent.mkdir()
+    code = main([
+        "--config", str(files["config"]), "pipeline",
+        "--dump", str(files["dump"]), "--corpus", str(files["corpus"]),
+        "--dataset", str(files["dataset"]), "--out-dir", str(out),
+        "--merged-out", str(merged_path),
+    ])
+    assert code == 0
+    assert not (out / "merged.vec").exists()
+    merged = read_embeddings(str(merged_path))
+    assert all(tok in merged for tok in (out / "imputed_vocab.txt").read_text().split())
+
+    manifest = json.loads((out / "pipeline_manifest.json").read_text())
+    evaluated = json.loads((out / "evaluate_manifest.json").read_text())
+    assert str(merged_path) in manifest["outputs"]
+    assert evaluated["inputs"]["embeddings"]["path"] == str(merged_path)

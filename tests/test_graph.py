@@ -43,6 +43,25 @@ def test_parse_typed_and_tagged_literals():
     assert [t.obj for t in ts.triples] == ["2021", "Aspirin", 'escaped "x"']
 
 
+def test_parse_escaped_backslash_before_n_is_not_a_newline():
+    ts = parse_ntriples(['<a> <p> "a\\\\nb" .'])
+    assert ts.triples[0].obj == "a\\nb"  # a, backslash, n, b
+
+
+def test_parse_unicode_escapes():
+    ts = parse_ntriples([
+        '<a> <p> "Sj\\u00F6gren" .',
+        '<a> <p> "clef \\U0001D11E" .',
+        '<a> <p> "tab\\there\\r\\n\\b\\f\\\'" .',
+    ])
+    assert [t.obj for t in ts.triples] == ["Sjögren", "clef \U0001D11E", "tab\there\r\n\b\f'"]
+
+
+def test_parse_unknown_escape_kept_as_written():
+    ts = parse_ntriples(['<a> <p> "x\\qy \\u00G1" .'])
+    assert ts.triples[0].obj == "x\\qy \\u00G1"
+
+
 def test_parse_skips_garbage_with_count():
     ts = parse_ntriples(["<a> <p> <b> .", "complete garbage", "# comment", ""])
     assert len(ts) == 1

@@ -14,10 +14,11 @@ from lsimpute import (
     lsi_pipeline,
     solve_weights,
 )
+from lsimpute import imputation
 from lsimpute.evaluation import cosine_similarity
 
 from conftest import make_shared_latent_benchmark, random_embedding
-from oracles import kruskal_mst
+from oracles import kruskal_mst, transitive_closure_components
 
 
 def _emb(vectors) -> EmbeddingMatrix:
@@ -63,6 +64,34 @@ def test_adjacency_symmetric():
         assert i not in nbrs
         for j in nbrs:
             assert i in g.neighbors[j]
+
+
+def test_blocked_knn_and_mst_with_ties_across_blocks(monkeypatch):
+    # integer grid points (plus two duplicates) give exactly tied distances;
+    # a tiny byte budget makes blocks of 5 rows, so tied rows fall in different blocks
+    grid = np.array([(x, y) for y in range(7) for x in range(6)], dtype=np.float64)
+    points = np.vstack([grid, grid[[4, 17]]])
+    n = len(points)
+    monkeypatch.setattr(imputation, "_BLOCK_BYTES", 8 * n * 5)
+    monkeypatch.setattr(imputation, "_MIN_BLOCK_ROWS", 1)
+    domain = _emb(points)
+    exact = ((points[:, None] - points[None, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(exact, np.inf)
+    length = lambda edges: sum(np.linalg.norm(points[i] - points[j]) for i, j in edges)
+    oracle_length = length(kruskal_mst(points))  # tied MSTs differ in edges, not in length
+    for k in (1, 3, 4, 6):
+        g = knn_mst(domain, k)
+
+        nearest = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        expected = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in nearest[i]}
+        assert g.knn_edges == expected
+
+        mst = g.mst_edges
+        assert len(mst) == n - 1
+        assert abs(length(mst) - oracle_length) < 1e-9
+        assert len(transitive_closure_components(n, mst)) == 1
+        assert g.min_degree() >= k
+        assert g.edges() == {(i, int(j)) for i, nbrs in enumerate(g.neighbors) for j in nbrs if i < j}
 
 
 def test_k_too_large_rejected():

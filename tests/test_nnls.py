@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lsimpute
 from lsimpute import nnls
 
 from oracles import projected_gradient_nnls
@@ -67,3 +73,51 @@ def test_input_validation():
         nnls(np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="expected"):
         nnls(np.ones((3, 2)), np.ones(4))
+
+
+def _check_against_oracle(A, b):
+    x = nnls(A, b)
+    assert x.shape == (A.shape[1],) and (x >= 0).all()
+    x_ref = projected_gradient_nnls(A, b)
+    scale = max(1.0, float(np.linalg.norm(b)))
+    assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ x_ref - b) + 1e-8 * scale
+    grad = A.T @ (A @ x - b)
+    tol = 1e-8 * scale * max(1.0, float(np.abs(A).max()))
+    assert grad[x == 0].min(initial=np.inf) > -tol
+    assert np.abs(grad[x > 0]).max(initial=0.0) < tol
+
+
+def test_workload_shapes_match_oracle_and_kkt():
+    rng = np.random.default_rng(72)
+    # a row of the weight solve: 200-d vector against 72 neighbor vectors near it
+    center = rng.standard_normal(200)
+    A = (center[:, None] + 0.3 * rng.standard_normal((200, 72))) / 3.0
+    _check_against_oracle(A, center / 3.0 + 0.05 * rng.standard_normal(200))
+    # wide: fewer equations than columns
+    for _ in range(5):
+        _check_against_oracle(rng.uniform(-1, 1, (6, 15)), rng.uniform(-1, 1, 6))
+    # duplicate columns
+    A = rng.uniform(-1, 1, (12, 5))
+    _check_against_oracle(A[:, [0, 1, 1, 2, 3, 3, 4]], rng.uniform(-1, 1, 12))
+    # zero right-hand side at the workload shape
+    np.testing.assert_array_equal(nnls(rng.standard_normal((200, 72)), np.zeros(200)), np.zeros(72))
+
+
+def test_iteration_cap_raises_instead_of_partial_solution(monkeypatch):
+    import scipy.optimize
+
+    real = scipy.optimize.nnls
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda A, b: real(A, b, maxiter=1))
+    rng = np.random.default_rng(3)
+    A = rng.uniform(-1, 1, (10, 6))
+    b = A @ rng.uniform(0.5, 1.0, 6)  # needs every column, so more than one iteration
+    with pytest.raises(RuntimeError, match="[Ii]teration"):
+        nnls(A, b)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = Path(lsimpute.__file__).resolve().parent.parent
+    code = ("import sys, lsimpute, lsimpute.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
