@@ -13,6 +13,7 @@ Log level comes from the LSIMPUTE_LOG_LEVEL environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -20,7 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 import scipy
@@ -60,26 +61,35 @@ class InputError(ValueError):
     """User-facing problem: bad config, missing file, malformed data."""
 
 
-# Built-in defaults per config section. The graph trainer keeps every walked
-# node in the vocabulary; the text trainer uses the larger-corpus settings.
+def _field_defaults(cls) -> dict[str, Any]:
+    # only ExtractionConfig's type sets lack a plain default; in JSON they are lists
+    return {
+        f.name: [] if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(cls)
+    }
+
+
+# Built-in defaults per config section, one flag per field. The graph trainer
+# keeps every walked node in the vocabulary; SgnsConfig holds the text settings.
 DEFAULTS: dict[str, dict[str, Any]] = {
-    "extraction": {
-        "node_types": [],
-        "bridge_types": [],
-        "label_predicate": "http://www.w3.org/2000/01/rdf-schema#label",
-        "type_predicate": "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
-    },
-    "walks": {"p": 0.5, "q": 0.5, "n_walks": 10, "walk_length": 80, "seed": 1},
+    "paths": {"graph_dump": None, "corpus": None, "dataset": None},
+    "extraction": _field_defaults(ExtractionConfig),
+    "walks": _field_defaults(WalkConfig),
     "sgns_graph": {
-        "dim": 200, "window": 15, "epochs": 50, "negative": 5, "alpha": 0.025,
-        "sample": 1e-3, "min_count": 1, "seed": 1, "workers": 1,
+        **_field_defaults(SgnsConfig),
+        "window": 15, "epochs": 50, "negative": 5, "alpha": 0.025, "sample": 1e-3, "min_count": 1,
     },
-    "sgns_text": {
-        "dim": 200, "window": 30, "epochs": 10, "negative": 10, "alpha": 0.05,
-        "sample": 1e-4, "min_count": 5, "seed": 1, "workers": 1,
-    },
-    "lsi": {"k": 50, "eta": 1e-4, "max_iters": 10000, "unreachable_policy": "error"},
+    "sgns_text": _field_defaults(SgnsConfig),
+    "lsi": _field_defaults(LsiConfig),
     "evaluate": {"resamples": 1000, "seed": 0, "split_seed": 1},
+}
+
+# Flag dests that are not the field name; any other field's flag is --<field>.
+_RENAMES = {
+    ("walks", "seed"): "walk_seed",
+    ("extraction", "node_types"): "node_type",
+    ("extraction", "bridge_types"): "bridge_type",
+    ("paths", "graph_dump"): "dump",
 }
 
 
@@ -95,16 +105,21 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"config file {path} must hold a JSON object")
-    unknown = set(cfg) - set(DEFAULTS) - {"paths"}
+    unknown = set(cfg) - set(DEFAULTS)
     if unknown:
         raise InputError(f"unknown config sections: {sorted(unknown)}")
     return cfg
 
 
-def resolve_section(
-    section: str, config: dict[str, Any], overrides: dict[str, Any]
-) -> dict[str, Any]:
-    """Merge defaults <- config file <- explicit flags, rejecting unknown fields."""
+def _json_types(default: Any) -> tuple[type, ...]:
+    """JSON value types a field accepts: its default's, ints for floats, strings or null for paths."""
+    if default is None:
+        return (str, type(None))
+    return (int, float) if isinstance(default, float) else (type(default),)
+
+
+def resolve_section(section: str, config: dict[str, Any], ns) -> dict[str, Any]:
+    """Merge defaults <- config file <- flags set in `ns`, rejecting unknown or mistyped fields."""
     resolved = dict(DEFAULTS[section])
     file_values = config.get(section, {})
     if not isinstance(file_values, dict):
@@ -113,9 +128,13 @@ def resolve_section(
     for key, value in file_values.items():
         if key not in resolved:
             problems.append(f"{section}.{key}: unknown field")
+        elif not isinstance(value, kinds := _json_types(resolved[key])):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            problems.append(f"{section}.{key}: expected {names}, got {value!r}")
         else:
             resolved[key] = value
-    for key, value in overrides.items():
+    for key in DEFAULTS[section]:
+        value = getattr(ns, _RENAMES.get((section, key), key), None)
         if value is not None:
             resolved[key] = value
     if problems:
@@ -194,22 +213,12 @@ def cmd_extract_graph(ns, config) -> None:
     started = time.time()
     dump = _require_file(ns.dump, "--dump (N-Triples file)")
     out = _out_dir(ns)
-    resolved = resolve_section("extraction", config, {
-        "node_types": ns.node_type or None,
-        "bridge_types": ns.bridge_type or None,
-        "label_predicate": ns.label_predicate,
+    resolved = resolve_section("extraction", config, ns)
+    cfg = _build(ExtractionConfig, "extraction", {
+        **resolved,
+        "node_types": set(resolved["node_types"]),
+        "bridge_types": set(resolved["bridge_types"]),
     })
-    if not resolved["node_types"]:
-        raise InputError("at least one --node-type (or extraction.node_types) is required")
-    cfg = _build(
-        ExtractionConfig, "extraction",
-        {
-            "node_types": set(resolved["node_types"]),
-            "bridge_types": set(resolved["bridge_types"]),
-            "label_predicate": resolved["label_predicate"],
-            "type_predicate": resolved["type_predicate"],
-        },
-    )
     triples = parse_ntriples_file(str(dump))
     graph = extract_subgraph(triples, cfg)
     stats = degree_stats(graph)
@@ -226,11 +235,8 @@ def cmd_node2vec(ns, config) -> None:
     nodes = _require_file(ns.nodes, "--nodes")
     edges = _require_file(ns.edges, "--edges")
     out = _out_dir(ns)
-    walk_values = resolve_section("walks", config, {
-        "p": ns.p, "q": ns.q, "n_walks": ns.n_walks,
-        "walk_length": ns.walk_length, "seed": ns.walk_seed,
-    })
-    sgns_values = resolve_section("sgns_graph", config, _sgns_overrides(ns))
+    walk_values = resolve_section("walks", config, ns)
+    sgns_values = resolve_section("sgns_graph", config, ns)
     walk_cfg = _build(WalkConfig, "walks", walk_values)
     sgns_cfg = _build(SgnsConfig, "sgns_graph", sgns_values)
 
@@ -257,7 +263,7 @@ def cmd_train_sgns(ns, config) -> None:
     started = time.time()
     corpus_path = _require_file(ns.corpus, "--corpus")
     out = _out_dir(ns)
-    values = resolve_section("sgns_text", config, _sgns_overrides(ns))
+    values = resolve_section("sgns_text", config, ns)
     cfg = _build(SgnsConfig, "sgns_text", values)
     corpus = read_corpus(str(corpus_path))
     if not corpus:
@@ -295,10 +301,7 @@ def cmd_impute(ns, config) -> None:
     semantic_path = _require_file(ns.semantic, "--semantic")
     domain_path = _require_file(ns.domain, "--domain")
     out = _out_dir(ns)
-    values = resolve_section("lsi", config, {
-        "k": ns.k, "eta": ns.eta, "max_iters": ns.max_iters,
-        "unreachable_policy": ns.unreachable_policy,
-    })
+    values = resolve_section("lsi", config, ns)
     cfg = _build(LsiConfig, "lsi", values)
     semantic = read_embeddings(str(semantic_path))
     domain = read_embeddings(str(domain_path))
@@ -358,9 +361,7 @@ def cmd_evaluate(ns, config) -> None:
     emb_path = _require_file(ns.embeddings, "--embeddings")
     dataset_path = _require_file(ns.dataset, "--dataset")
     out = _out_dir(ns)
-    values = resolve_section("evaluate", config, {
-        "resamples": ns.resamples, "seed": ns.seed, "split_seed": ns.split_seed,
-    })
+    values = resolve_section("evaluate", config, ns)
     embedding = read_embeddings(str(emb_path))
     dataset = load_wordpair_dataset(str(dataset_path))
 
@@ -389,69 +390,55 @@ def cmd_evaluate(ns, config) -> None:
         )
 
 
+# the config sections each stage resolves, in pipeline order
+_STAGE_SECTIONS = ("extraction", "walks", "sgns_text", "sgns_graph", "lsi", "evaluate")
+
+
 def cmd_pipeline(ns, config) -> None:
     """Chain every stage: split, filter, train, extract, embed, impute, evaluate."""
     started = time.time()
-    paths = config.get("paths", {})
-    dump = _require_file(ns.dump or paths.get("graph_dump"), "graph dump (--dump or paths.graph_dump)")
-    corpus = _require_file(ns.corpus or paths.get("corpus"), "corpus (--corpus or paths.corpus)")
-    dataset_path = _require_file(ns.dataset or paths.get("dataset"), "dataset (--dataset or paths.dataset)")
-    ns.dump, ns.corpus, ns.dataset = str(dump), str(corpus), str(dataset_path)
+    paths = resolve_section("paths", config, ns)
+    dump = _require_file(paths["graph_dump"], "graph dump (--dump or paths.graph_dump)")
+    corpus = _require_file(paths["corpus"], "corpus (--corpus or paths.corpus)")
+    dataset_path = _require_file(paths["dataset"], "dataset (--dataset or paths.dataset)")
     out = _out_dir(ns)
+    # every section is checked before the first stage starts
+    resolved = {section: resolve_section(section, config, ns) for section in _STAGE_SECTIONS}
 
-    eval_values = resolve_section("evaluate", config, {
-        "resamples": ns.resamples, "seed": ns.seed, "split_seed": ns.split_seed,
-    })
+    def run(stage: str, **changes: str) -> None:
+        # looked up at call time, so wrappers installed on the module apply
+        handler = globals()[f"cmd_{stage.replace('-', '_')}"]
+        handler(argparse.Namespace(**{**vars(ns), **changes}), config)
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
     dataset = load_wordpair_dataset(str(dataset_path))
-    trained, imputed = split_vocab(dataset.terms(), eval_values["split_seed"])
+    trained, imputed = split_vocab(dataset.terms(), resolved["evaluate"]["split_seed"])
     trained_path = out / "trained_vocab.txt"
     imputed_path = out / "imputed_vocab.txt"
     trained_path.write_text("\n".join(sorted(trained)) + "\n", encoding="utf-8")
     imputed_path.write_text("\n".join(sorted(imputed)) + "\n", encoding="utf-8")
 
     # 2. remove sentences mentioning any to-be-imputed term
-    ns.terms = str(imputed_path)
-    cmd_filter_corpus(ns, config)
-
+    run("filter-corpus", corpus=str(corpus), terms=str(imputed_path))
     # 3. semantic embeddings from the filtered corpus
-    ns_text = argparse.Namespace(**vars(ns))
-    ns_text.corpus = str(out / "filtered_corpus.txt")
-    cmd_train_sgns(ns_text, config)
-    semantic_path = out / "embeddings.vec"
-
+    run("train-sgns", corpus=str(out / "filtered_corpus.txt"))
+    semantic_path = str(out / "embeddings.vec")
     # 4 + 5. domain embeddings from the knowledge graph
-    cmd_extract_graph(ns, config)
-    ns_n2v = argparse.Namespace(**vars(ns))
-    ns_n2v.nodes = str(out / "nodes.tsv")
-    ns_n2v.edges = str(out / "edges.tsv")
-    cmd_node2vec(ns_n2v, config)
-    domain_path = out / "domain_embeddings.vec"
-
+    run("extract-graph", dump=str(dump))
+    run("node2vec", nodes=str(out / "nodes.tsv"), edges=str(out / "edges.tsv"))
+    domain_path = str(out / "domain_embeddings.vec")
     # 6. impute missing vectors and merge into the trained model
     merged_path = Path(ns.merged_out) if ns.merged_out else out / "merged.vec"
-    ns_imp = argparse.Namespace(**vars(ns))
-    ns_imp.semantic = str(semantic_path)
-    ns_imp.domain = str(domain_path)
-    ns_imp.merged_out = str(merged_path)
-    cmd_impute(ns_imp, config)
-
+    run("impute", semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
     # 7. alignment baseline over the same inputs
-    ns_al = argparse.Namespace(**vars(ns_imp))
-    ns_al.merged_out = str(out / "baseline_merged.vec")
-    cmd_align_baseline(ns_al, config)
-
+    run("align-baseline", semantic=semantic_path, domain=domain_path,
+        merged_out=str(out / "baseline_merged.vec"))
     # 8. evaluate the imputed model
-    ns_ev = argparse.Namespace(**vars(ns))
-    ns_ev.embeddings = str(merged_path)
-    ns_ev.dataset = str(dataset_path)
-    ns_ev.trained_vocab = str(trained_path)
-    ns_ev.imputed_vocab = str(imputed_path)
-    cmd_evaluate(ns_ev, config)
+    run("evaluate", embeddings=str(merged_path), dataset=str(dataset_path),
+        trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
 
     write_manifest(
-        out, "pipeline", eval_values,
+        out, "pipeline", resolved,
         {"dump": dump, "corpus": corpus, "dataset": dataset_path},
         [merged_path, out / "eval_report.json"], started,
     )
@@ -462,29 +449,26 @@ def cmd_pipeline(ns, config) -> None:
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # usage problems are input errors
+    def error(self, message: str) -> NoReturn:  # usage problems are input errors
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sgns_overrides(ns) -> dict[str, Any]:
-    return {
-        "dim": ns.dim, "window": ns.window, "epochs": ns.epochs,
-        "negative": ns.negative, "alpha": ns.alpha, "sample": ns.sample,
-        "min_count": ns.min_count, "seed": ns.seed, "workers": ns.workers,
-    }
-
-
-def _add_sgns_flags(sub) -> None:
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--negative", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--sample", type=float)
-    sub.add_argument("--min-count", dest="min_count", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
+def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """One flag per field of each section; a field name shared by two sections shares one flag."""
+    fields: dict[str, list[str]] = {}
+    defaults: dict[str, Any] = {}
+    for section in sections:
+        for key, default in DEFAULTS[section].items():
+            dest = _RENAMES.get((section, key), key)
+            fields.setdefault(dest, []).append(f"{section}.{key}")
+            defaults.setdefault(dest, default)
+    for dest, keys in fields.items():
+        flag, default, sets = "--" + dest.replace("_", "-"), defaults[dest], "sets " + ", ".join(keys)
+        if isinstance(default, list):
+            p.add_argument(flag, dest=dest, action="append", help=sets + " (repeatable)")
+        else:
+            p.add_argument(flag, dest=dest, type=None if default is None else type(default), help=sets)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,29 +478,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-graph", help="N-Triples dump to nodes.tsv/edges.tsv")
     p.add_argument("--dump", help="N-Triples file, optionally .gz")
-    p.add_argument("--node-type", action="append", help="type IRI kept outright (repeatable)")
-    p.add_argument("--bridge-type", action="append",
-                   help="type IRI kept when connected to a kept node (repeatable)")
-    p.add_argument("--label-predicate")
+    _add_config_flags(p, "extraction")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_extract_graph)
 
     p = sub.add_parser("node2vec", help="graph TSV to node embeddings")
     p.add_argument("--nodes")
     p.add_argument("--edges")
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--n-walks", dest="n_walks", type=int)
-    p.add_argument("--walk-length", dest="walk_length", type=int)
-    p.add_argument("--walk-seed", dest="walk_seed", type=int)
     p.add_argument("--walks-out", help="also write the walk corpus here")
-    _add_sgns_flags(p)
+    _add_config_flags(p, "walks", "sgns_graph")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_node2vec)
 
     p = sub.add_parser("train-sgns", help="text corpus to word embeddings")
     p.add_argument("--corpus", help="one sentence per line, space-separated tokens")
-    _add_sgns_flags(p)
+    _add_config_flags(p, "sgns_text")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train_sgns)
 
@@ -529,11 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impute", help="impute missing semantic vectors from the domain space")
     p.add_argument("--semantic", help="embedding file to extend")
     p.add_argument("--domain", help="embedding file supplying neighborhoods")
-    p.add_argument("--k", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--unreachable-policy", dest="unreachable_policy",
-                   choices=["error", "anchor-mean"])
+    _add_config_flags(p, "lsi")
     p.add_argument("--merged-out", help="also write base + imputed merged here")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_impute)
@@ -550,34 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help="CSV: Term1,Term2,Similarity,Relatedness")
     p.add_argument("--trained-vocab", help="file of trained terms (with --imputed-vocab)")
     p.add_argument("--imputed-vocab")
-    p.add_argument("--split-seed", dest="split_seed", type=int,
-                   help="derive the trained/imputed split from the dataset")
-    p.add_argument("--resamples", type=int)
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p, "evaluate")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--dump")
-    p.add_argument("--corpus")
-    p.add_argument("--dataset")
-    p.add_argument("--node-type", action="append")
-    p.add_argument("--bridge-type", action="append")
-    p.add_argument("--label-predicate")
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--n-walks", dest="n_walks", type=int)
-    p.add_argument("--walk-length", dest="walk_length", type=int)
-    p.add_argument("--walk-seed", dest="walk_seed", type=int)
+    _add_config_flags(p, "paths", *_STAGE_SECTIONS)
     p.add_argument("--walks-out")
-    _add_sgns_flags(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--unreachable-policy", dest="unreachable_policy",
-                   choices=["error", "anchor-mean"])
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--resamples", type=int)
     p.add_argument("--merged-out", help="merged embeddings path (default: <out-dir>/merged.vec)")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_pipeline)

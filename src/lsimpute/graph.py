@@ -16,6 +16,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
+import numpy as np
+import scipy.sparse as sp
+
 logger = logging.getLogger(__name__)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -214,25 +217,17 @@ def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
 
 def connected_components(g: LabeledGraph) -> list[list[int]]:
     """Components as sorted index lists, ordered by smallest member."""
-    adj = g.neighbor_lists()
-    seen = [False] * g.n_nodes
-    components: list[list[int]] = []
-    for start in range(g.n_nodes):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        components.append(sorted(comp))
-    components.sort(key=lambda c: c[0])
-    return components
+    from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
+
+    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    adjacency = sp.csr_array(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(g.n_nodes, g.n_nodes)
+    )
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    components: dict[int, list[int]] = {}
+    for node, label in enumerate(labels.tolist()):
+        components.setdefault(label, []).append(node)
+    return sorted(components.values(), key=lambda c: c[0])
 
 
 @dataclass(frozen=True)

@@ -229,23 +229,19 @@ class ImputationResult:
 
 def _reachable_from_anchors(weights: WeightMatrix) -> np.ndarray:
     """Nodes with a positive-weight path to some anchor (reverse traversal)."""
+    from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
+
     n = weights.n
-    reachable = np.zeros(n, dtype=bool)
-    anchor_list = list(weights.anchor_rows)
-    reachable[anchor_list] = True
-    # reverse edges: i depends on j when W[i, j] > 0
-    csc = weights.matrix.tocsc()
-    frontier = anchor_list
-    while frontier:
-        nxt = []
-        for j in frontier:
-            start, stop = csc.indptr[j], csc.indptr[j + 1]
-            for i in csc.indices[start:stop]:
-                if not reachable[i]:
-                    reachable[i] = True
-                    nxt.append(int(i))
-        frontier = nxt
-    return reachable
+    anchors = np.array(list(weights.anchor_rows), dtype=np.int64)
+    # i depends on j when W[i, j] > 0 (only positive weights are stored), so
+    # walk the edges j -> i, starting from a virtual node n joined to every anchor
+    w = weights.matrix.tocoo()
+    tails = np.concatenate([w.col, np.full(len(anchors), n)])
+    heads = np.concatenate([w.row, anchors])
+    graph = sp.csr_array((np.ones(len(tails)), (tails, heads)), shape=(n + 1, n + 1))
+    reachable = np.zeros(n + 1, dtype=bool)
+    reachable[csgraph.breadth_first_order(graph, n, return_predecessors=False)] = True
+    return reachable[:n]
 
 
 def impute(

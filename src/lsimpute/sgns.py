@@ -15,7 +15,6 @@ over the whole run.
 from __future__ import annotations
 
 import logging
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +37,6 @@ class SgnsConfig:
     window: int = 30
     min_count: int = 5
     seed: int = 1
-    workers: int = 1  # >1 = lock-free threads, reproducibility not guaranteed
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -220,70 +218,24 @@ def train_sgns_full(
     alpha_min = cfg.alpha / 10.0
     epoch_loss: list[float] = []
 
-    if cfg.workers > 1:
-        _train_hogwild(sentences, w_in, w_out, noise_cum, keep_prob, cfg, epoch_loss, track_loss)
-    else:
-        processed = 0
-        for epoch in range(cfg.epochs):
-            loss_sum = 0.0
-            pair_count = 0
-            for ids in sentences:
-                alpha = cfg.alpha - (cfg.alpha - alpha_min) * (processed / total_sentences)
-                loss, pairs = _train_sentence(
-                    ids, w_in, w_out, noise_cum, keep_prob,
-                    cfg.negative, cfg.window, alpha, rng, track_loss,
-                )
-                loss_sum += loss
-                pair_count += pairs
-                processed += 1
-            if track_loss:
-                epoch_loss.append(loss_sum / max(pair_count, 1))
-                logger.debug("epoch %d: mean pair loss %.6f", epoch, epoch_loss[-1])
+    processed = 0
+    for epoch in range(cfg.epochs):
+        loss_sum = 0.0
+        pair_count = 0
+        for ids in sentences:
+            alpha = cfg.alpha - (cfg.alpha - alpha_min) * (processed / total_sentences)
+            loss, pairs = _train_sentence(
+                ids, w_in, w_out, noise_cum, keep_prob,
+                cfg.negative, cfg.window, alpha, rng, track_loss,
+            )
+            loss_sum += loss
+            pair_count += pairs
+            processed += 1
+        if track_loss:
+            epoch_loss.append(loss_sum / max(pair_count, 1))
+            logger.debug("epoch %d: mean pair loss %.6f", epoch, epoch_loss[-1])
 
     return SgnsResult(EmbeddingMatrix(tokens, w_in), epoch_loss)
-
-
-def _train_hogwild(
-    sentences: list[np.ndarray],
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    noise_cum: np.ndarray,
-    keep_prob: np.ndarray,
-    cfg: SgnsConfig,
-    epoch_loss: list[float],
-    track_loss: bool,
-) -> None:
-    """Lock-free threaded training: races are tolerated, results vary run to run."""
-    alpha_min = cfg.alpha / 10.0
-    total = cfg.epochs * len(sentences)
-    chunks = [sentences[w :: cfg.workers] for w in range(cfg.workers)]
-    losses = [0.0] * cfg.workers
-    pairs = [0] * cfg.workers
-
-    for epoch in range(cfg.epochs):
-        def worker(w: int) -> None:
-            rng = np.random.default_rng([cfg.seed, epoch, w])
-            done = epoch * len(sentences)
-            for ids in chunks[w]:
-                alpha = cfg.alpha - (cfg.alpha - alpha_min) * (done / total)
-                loss, n = _train_sentence(
-                    ids, w_in, w_out, noise_cum, keep_prob,
-                    cfg.negative, cfg.window, alpha, rng, track_loss,
-                )
-                losses[w] += loss
-                pairs[w] += n
-                done += cfg.workers
-
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(cfg.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if track_loss:
-            epoch_loss.append(sum(losses) / max(sum(pairs), 1))
-        for w in range(cfg.workers):
-            losses[w] = 0.0
-            pairs[w] = 0
 
 
 def train_sgns(corpus: Sequence[list[str]], cfg: SgnsConfig) -> EmbeddingMatrix:

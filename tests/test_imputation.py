@@ -274,6 +274,26 @@ def test_unreachable_error_and_fallback_policies():
     np.testing.assert_allclose(res.imputed.row("u"), [1.0, 1.0], atol=1e-12)
 
 
+def test_reachability_matches_closure_oracle():
+    # random sparse dependency graphs: i reaches an anchor when some W[i, j] > 0
+    # leads to a node that already reaches one, iterated to a fixed point
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        anchors = set(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
+        rows = {
+            i: {int(j): 1.0 for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=False)}
+            for i in range(n) if i not in anchors
+        }
+        dense = (_weights_from_rows(rows, anchors, n).matrix.toarray() > 0)
+        expected = np.zeros(n, dtype=bool)
+        expected[list(anchors)] = True
+        for _ in range(n):
+            expected |= dense[:, expected].any(axis=1)
+        got = imputation._reachable_from_anchors(_weights_from_rows(rows, anchors, n))
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_nonconvergence_flagged():
     weights = _weights_from_rows(
         {1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}, {0, 3}, 4

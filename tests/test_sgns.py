@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lsimpute import EmbeddingMatrix, SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
+from lsimpute import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
 
 from oracles import pair_log_likelihood
@@ -143,15 +143,6 @@ def test_empty_vocabulary_raises():
     cfg = SgnsConfig(dim=4, epochs=1, negative=2, window=2, min_count=100, seed=0)
     with pytest.raises(ValueError, match="empty"):
         train_sgns([["a", "b"]], cfg)
-
-
-def test_hogwild_mode_runs_and_keeps_shape():
-    cfg = SgnsConfig(dim=8, epochs=2, negative=3, alpha=0.05, sample=0.0,
-                     window=3, min_count=1, seed=5, workers=3)
-    emb = train_sgns(two_cluster_corpus(60), cfg)
-    assert isinstance(emb, EmbeddingMatrix)
-    assert set(emb.tokens) == {"a", "b", "x", "y"}
-    assert np.isfinite(emb.vectors).all()
 
 
 def test_config_validation():
