@@ -57,6 +57,10 @@ class SgnsResult:
     epoch_loss: list[float]      # mean negative log-likelihood per trained pair
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return expit(x)
+
+
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # log sigma(x) = -log(1 + exp(-x)), stable for large |x|
     return -np.logaddexp(0.0, -x)
@@ -78,8 +82,8 @@ def sgns_pair_gradient(
     center = np.asarray(center, dtype=np.float64)
     context = np.asarray(context, dtype=np.float64)
     negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    g_pair = label - expit(center @ context)
-    g_neg = -expit(negatives @ center)  # (k,)
+    g_pair = label - _sigmoid(center @ context)
+    g_neg = -_sigmoid(negatives @ center)  # (k,)
     grad_center = g_pair * context + g_neg @ negatives
     grad_context = g_pair * center
     grad_negatives = g_neg[:, None] * center[None, :]
@@ -116,46 +120,40 @@ def _keep_probabilities(counts: np.ndarray, sample: float) -> np.ndarray:
     return np.minimum(keep, 1.0)
 
 
-# Sentences are trained in batches of whole sentences, sized so that one
-# batch draws about this many output slots (contexts plus negatives); that
-# bounds the batch's temporaries to a few MB whatever the window.
-_BATCH_OUTPUTS = 1 << 16
-
-
-def _train_batch(
+def _train_sentence(
     ids: np.ndarray,
-    sentence: np.ndarray,
-    alpha: np.ndarray,
     w_in: np.ndarray,
     w_out: np.ndarray,
     noise_cum: np.ndarray,
     keep_prob: np.ndarray,
     negative: int,
     window: int,
+    alpha: float,
     rng: np.random.Generator,
     track_loss: bool = False,
 ) -> tuple[float, int]:
-    """SGD over a run of whole sentences, one batched update per center.
-
-    `ids` are the run's tokens in order, `sentence` the index of the sentence
-    each belongs to and `alpha` its learning rate. Returns (loss sum, pairs).
-    """
-    kept = rng.random(len(ids)) < keep_prob[ids]
-    ids, sentence, alpha = ids[kept], sentence[kept], alpha[kept]
+    """SGD over one sentence, one batched update per center; returns (loss sum, pairs)."""
+    if len(ids) > 0:
+        ids = ids[rng.random(len(ids)) < keep_prob[ids]]
     n = len(ids)
+    if n < 2:
+        return 0.0, 0
 
     # fix all pairs and negative draws up front; updates still run center by
-    # center against current parameters, so SGD keeps its self-limiting step.
-    # A context lies within the center's span and in the center's sentence.
+    # center against current parameters, so SGD keeps its self-limiting step
     spans = rng.integers(1, window + 1, size=n)
-    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
-    positions = np.arange(n)[:, None] + offsets
-    inside = (positions >= 0) & (positions < n)
-    positions[~inside] = 0
-    valid = inside & (np.abs(offsets) <= spans[:, None]) & (sentence[positions] == sentence[:, None])
-    pair_center = np.nonzero(valid)[0]
-    contexts_all = ids[positions[valid]]
+    bounds = []
+    contexts_l = []
+    for pos in range(n):
+        b = int(spans[pos])
+        lo, hi = max(0, pos - b), min(n, pos + b + 1)
+        ctx = np.concatenate([ids[lo:pos], ids[pos + 1 : hi]])
+        bounds.append(len(ctx))
+        contexts_l.append(ctx)
+    contexts_all = np.concatenate(contexts_l)
     total = len(contexts_all)
+    if total == 0:
+        return 0.0, 0
 
     negs = noise_cum.searchsorted(rng.random((total, negative)))
     bad = negs == contexts_all[:, None]
@@ -164,47 +162,34 @@ def _train_batch(
             break
         negs[bad] = noise_cum.searchsorted(rng.random(int(bad.sum())))
         bad = negs == contexts_all[:, None]
+    # outputs per context: the positive first, then its negatives
+    out_all = np.concatenate([contexts_all[:, None], negs], axis=1).reshape(-1)
 
-    # A center's outputs are its contexts (label 1) and their negatives
-    # (label 0). An output row met m times in one center's batch gets m times
-    # the gradient of one meeting, all at the same pre-update score, so each
-    # center works on its distinct rows with per-row label counts. That gives
-    # a gather and a plain scatter per center instead of a scatter-add.
     width = negative + 1
-    outputs = np.concatenate([contexts_all[:, None], negs], axis=1).reshape(-1)
-    vocab = len(w_out)
-    keys, inverse, seen = np.unique(
-        np.repeat(pair_center, width) * vocab + outputs, return_inverse=True, return_counts=True
-    )
-    positive = np.bincount(inverse[::width], minlength=len(keys)).astype(np.float64)
-    rows = keys % vocab
-    key_alpha = alpha[keys // vocab]
-    pos_step = key_alpha * positive   # alpha * label count
-    all_step = key_alpha * seen       # alpha * meeting count
-    bounds = np.searchsorted(keys, np.arange(n + 1) * vocab).tolist()
-
     id_list = ids.tolist()
     loss_sum = 0.0
+    offset = 0
     for pos in range(n):
-        a, b = bounds[pos], bounds[pos + 1]
-        if a == b:
+        count = bounds[pos]
+        if count == 0:
             continue
-        out_idx = rows[a:b]
-        u = w_out.take(out_idx, axis=0)   # a gathered copy
-        v = w_in[id_list[pos]]            # a view, updated in place last
+        out_idx = out_all[offset * width : (offset + count) * width]
+        offset += count
+        center = id_list[pos]
+        u = w_out[out_idx]            # (count*(k+1), d), a gathered copy
+        v = w_in[center]
         scores = u.dot(v)
         if track_loss:
-            pos_n = positive[a:b]
-            loss_sum -= float(
-                pos_n.dot(_log_sigmoid(scores)) + (seen[a:b] - pos_n).dot(_log_sigmoid(-scores))
-            )
-        # per row: alpha * sum over meetings of (label - sigmoid(score))
-        g = pos_step[a:b] - all_step[a:b] * expit(scores)
-        # both gradients use pre-update values: u is a copy, v changes after
-        step_in = g.dot(u)
-        u += g[:, None] * v
-        w_out[out_idx] = u
-        v += step_in
+            signed = -scores
+            signed[::width] = scores[::width]
+            loss_sum -= float(_log_sigmoid(signed).sum())
+        # g = alpha * (label - sigmoid): labels are 1 at each positive slot, else 0
+        g = _sigmoid(scores)
+        g[::width] -= 1.0
+        g *= -alpha
+        # both gradients use pre-update values: u is a copy, v is read first
+        np.add.at(w_out, out_idx, g[:, None] * v[None, :])
+        w_in[center] = v + g.dot(u)
     return loss_sum, total
 
 
@@ -221,17 +206,6 @@ def train_sgns_full(
     sentences = [s for s in sentences if len(s) > 0]
     if not sentences:
         raise ValueError("corpus is empty")
-    flat = np.concatenate(sentences)
-    sentence_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
-
-    # batch boundaries as token offsets, each batch whole sentences
-    budget = max(1, _BATCH_OUTPUTS // (2 * cfg.window * (cfg.negative + 1)))
-    cuts = [0]
-    for end in np.cumsum([len(s) for s in sentences]).tolist():
-        if end - cuts[-1] >= budget:
-            cuts.append(end)
-    if cuts[-1] != len(flat):
-        cuts.append(len(flat))
 
     noise_cum = _noise_cumulative(counts)
     keep_prob = _keep_probabilities(counts, cfg.sample)
@@ -240,23 +214,23 @@ def train_sgns_full(
     w_in = (rng.random((len(tokens), cfg.dim)) - 0.5) / cfg.dim
     w_out = np.zeros((len(tokens), cfg.dim))
 
-    # the rate decays linearly per sentence over the whole run
     total_sentences = cfg.epochs * len(sentences)
     alpha_min = cfg.alpha / 10.0
     epoch_loss: list[float] = []
 
+    processed = 0
     for epoch in range(cfg.epochs):
-        done = epoch * len(sentences) + sentence_of
-        alpha = cfg.alpha - (cfg.alpha - alpha_min) * (done / total_sentences)
         loss_sum = 0.0
         pair_count = 0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            loss, pairs = _train_batch(
-                flat[lo:hi], sentence_of[lo:hi], alpha[lo:hi], w_in, w_out,
-                noise_cum, keep_prob, cfg.negative, cfg.window, rng, track_loss,
+        for ids in sentences:
+            alpha = cfg.alpha - (cfg.alpha - alpha_min) * (processed / total_sentences)
+            loss, pairs = _train_sentence(
+                ids, w_in, w_out, noise_cum, keep_prob,
+                cfg.negative, cfg.window, alpha, rng, track_loss,
             )
             loss_sum += loss
             pair_count += pairs
+            processed += 1
         if track_loss:
             epoch_loss.append(loss_sum / max(pair_count, 1))
             logger.debug("epoch %d: mean pair loss %.6f", epoch, epoch_loss[-1])

@@ -127,65 +127,6 @@ def test_graph_to_embedding_chain_deterministic():
     assert outputs[0].vectors.tobytes() == outputs[1].vectors.tobytes()
 
 
-def test_batch_matches_pairwise_oracle():
-    # one batch of two sentences over six tokens, so output rows repeat within
-    # a center's batch, against per-pair gradients summed center by center
-    from lsimpute import sgns
-
-    vocab, dim, negative, window = 6, 5, 3, 2
-    init = np.random.default_rng(3)
-    w_in = init.normal(size=(vocab, dim)) * 0.3
-    w_out = init.normal(size=(vocab, dim)) * 0.3
-    ids = np.array([0, 1, 2, 1, 3, 4, 5, 0, 2])
-    sentence = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
-    alpha = np.where(sentence == 0, 0.05, 0.04)
-    noise_cum = sgns._noise_cumulative(np.arange(1.0, vocab + 1))
-    got_in, got_out = w_in.copy(), w_out.copy()
-    loss, pairs = sgns._train_batch(
-        ids, sentence, alpha, got_in, got_out, noise_cum, np.ones(vocab),
-        negative, window, np.random.default_rng(11), track_loss=True,
-    )
-
-    # replay the batch's draws: subsampling, spans, negatives, resampling
-    draw = np.random.default_rng(11)
-    draw.random(len(ids))
-    spans = draw.integers(1, window + 1, size=len(ids))
-    centers, contexts = [], []
-    for c in range(len(ids)):
-        for p in range(c - spans[c], c + spans[c] + 1):
-            if p != c and 0 <= p < len(ids) and sentence[p] == sentence[c]:
-                centers.append(c)
-                contexts.append(int(ids[p]))
-    negs = noise_cum.searchsorted(draw.random((len(contexts), negative)))
-    for _ in range(16):
-        bad = negs == np.array(contexts)[:, None]
-        if not bad.any():
-            break
-        negs[bad] = noise_cum.searchsorted(draw.random(int(bad.sum())))
-
-    want_in, want_out = w_in.copy(), w_out.copy()
-    want_loss = 0.0
-    for c in range(len(ids)):
-        v = want_in[ids[c]].copy()
-        step_in = np.zeros(dim)
-        step_out = np.zeros_like(want_out)
-        for k in [k for k, kc in enumerate(centers) if kc == c]:
-            o, n = want_out[contexts[k]], want_out[negs[k]]
-            g_center, g_context, g_negs = sgns_pair_gradient(v, o, n, 1.0)
-            want_loss -= pair_log_likelihood(v, o, n, 1.0)
-            step_in += g_center
-            step_out[contexts[k]] += g_context
-            for j, row in enumerate(negs[k]):
-                step_out[row] += g_negs[j]
-        want_in[ids[c]] += alpha[c] * step_in
-        want_out += alpha[c] * step_out
-
-    assert pairs == len(contexts)
-    assert loss == pytest.approx(want_loss, rel=1e-12)
-    np.testing.assert_allclose(got_in, want_in, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got_out, want_out, rtol=0, atol=1e-12)
-
-
 def test_paper_style_configs_accepted():
     SgnsConfig(dim=200, window=15, epochs=50, min_count=1)
     SgnsConfig(dim=200, window=30, negative=10, alpha=0.05, sample=1e-4, epochs=10)
