@@ -128,7 +128,9 @@ def resolve_section(section: str, config: dict[str, Any], ns) -> dict[str, Any]:
     for key, value in file_values.items():
         if key not in resolved:
             problems.append(f"{section}.{key}: unknown field")
-        elif not isinstance(value, kinds := _json_types(resolved[key])):
+        elif not isinstance(value, kinds := _json_types(resolved[key])) or (
+            isinstance(value, bool) and bool not in kinds  # JSON true is not a number
+        ):
             names = " or ".join(kind.__name__ for kind in kinds)
             problems.append(f"{section}.{key}: expected {names}, got {value!r}")
         else:
@@ -405,9 +407,7 @@ def cmd_pipeline(ns, config) -> None:
     # every section is checked before the first stage starts
     resolved = {section: resolve_section(section, config, ns) for section in _STAGE_SECTIONS}
 
-    def run(stage: str, **changes: str) -> None:
-        # looked up at call time, so wrappers installed on the module apply
-        handler = globals()[f"cmd_{stage.replace('-', '_')}"]
+    def run(handler, **changes: str) -> None:
         handler(argparse.Namespace(**{**vars(ns), **changes}), config)
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
@@ -419,22 +419,22 @@ def cmd_pipeline(ns, config) -> None:
     imputed_path.write_text("\n".join(sorted(imputed)) + "\n", encoding="utf-8")
 
     # 2. remove sentences mentioning any to-be-imputed term
-    run("filter-corpus", corpus=str(corpus), terms=str(imputed_path))
+    run(cmd_filter_corpus, corpus=str(corpus), terms=str(imputed_path))
     # 3. semantic embeddings from the filtered corpus
-    run("train-sgns", corpus=str(out / "filtered_corpus.txt"))
+    run(cmd_train_sgns, corpus=str(out / "filtered_corpus.txt"))
     semantic_path = str(out / "embeddings.vec")
     # 4 + 5. domain embeddings from the knowledge graph
-    run("extract-graph", dump=str(dump))
-    run("node2vec", nodes=str(out / "nodes.tsv"), edges=str(out / "edges.tsv"))
+    run(cmd_extract_graph, dump=str(dump))
+    run(cmd_node2vec, nodes=str(out / "nodes.tsv"), edges=str(out / "edges.tsv"))
     domain_path = str(out / "domain_embeddings.vec")
     # 6. impute missing vectors and merge into the trained model
     merged_path = Path(ns.merged_out) if ns.merged_out else out / "merged.vec"
-    run("impute", semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
+    run(cmd_impute, semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
     # 7. alignment baseline over the same inputs
-    run("align-baseline", semantic=semantic_path, domain=domain_path,
+    run(cmd_align_baseline, semantic=semantic_path, domain=domain_path,
         merged_out=str(out / "baseline_merged.vec"))
     # 8. evaluate the imputed model
-    run("evaluate", embeddings=str(merged_path), dataset=str(dataset_path),
+    run(cmd_evaluate, embeddings=str(merged_path), dataset=str(dataset_path),
         trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
 
     write_manifest(

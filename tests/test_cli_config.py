@@ -146,16 +146,18 @@ def test_bad_paths_section_is_input_error(fixture_files, capsys, paths, named):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extraction, named", [
-    ({"node_types": "ConceptType"}, "extraction.node_types: expected list"),
-    ({"label_predicate": 3}, "extraction.label_predicate: expected str"),
+@pytest.mark.parametrize("sections, named", [
+    ({"extraction": {"node_types": "ConceptType"}}, "extraction.node_types: expected list"),
+    ({"extraction": {"label_predicate": 3}}, "extraction.label_predicate: expected str"),
+    ({"lsi": {"k": True}}, "lsi.k: expected int"),
 ])
-def test_mistyped_config_field_is_input_error(fixture_files, capsys, extraction, named):
+def test_mistyped_config_field_is_input_error(fixture_files, capsys, sections, named):
     files, tmp_path = fixture_files
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"extraction": {"node_types": ["ConceptType"], **extraction}}))
-    assert main(["--config", str(config), "extract-graph", "--dump", str(files["dump"]),
-                 "--out-dir", str(tmp_path / "graph")]) == 1
+    config.write_text(json.dumps(sections))
+    assert main(["--config", str(config), "pipeline", "--dump", str(files["dump"]),
+                 "--corpus", str(files["corpus"]), "--dataset", str(files["dataset"]),
+                 "--out-dir", str(tmp_path / "run")]) == 1
     assert named in capsys.readouterr().err
 
 
