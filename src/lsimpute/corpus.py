@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import open_maybe_gzip
 
@@ -67,6 +67,21 @@ def _matched_terms(tokens: list[str], terms: set[str]) -> set[str]:
     return hits
 
 
+def _kept_sentences(
+    sentences: Iterable[str], terms: set[str], stats: FilterStats
+) -> Iterator[str]:
+    """Yield the sentences that mention no target term, counting into `stats`."""
+    for sentence in sentences:
+        stats.total += 1
+        hits = _matched_terms(tokenize_sentence(sentence), terms)
+        if hits:
+            stats.removed += 1
+            for term in hits:
+                stats.term_hits[term] = stats.term_hits.get(term, 0) + 1
+        else:
+            yield sentence
+
+
 def filter_corpus(
     sentences: Iterable[str], terms: set[str]
 ) -> tuple[list[str], FilterStats]:
@@ -76,31 +91,13 @@ def filter_corpus(
     one hit for every distinct term that matched it.
     """
     stats = FilterStats()
-    kept: list[str] = []
-    for sentence in sentences:
-        stats.total += 1
-        hits = _matched_terms(tokenize_sentence(sentence), terms)
-        if hits:
-            stats.removed += 1
-            for term in hits:
-                stats.term_hits[term] = stats.term_hits.get(term, 0) + 1
-        else:
-            kept.append(sentence)
-    return kept, stats
+    return list(_kept_sentences(sentences, terms, stats)), stats
 
 
 def filter_corpus_file(in_path: str, out_path: str, terms: set[str]) -> FilterStats:
     """Streaming variant: line-by-line over possibly gzipped files, order preserved."""
     stats = FilterStats()
     with open_maybe_gzip(in_path) as src, open_maybe_gzip(out_path, "wt") as dst:
-        for line in src:
-            sentence = line.rstrip("\n")
-            stats.total += 1
-            hits = _matched_terms(tokenize_sentence(sentence), terms)
-            if hits:
-                stats.removed += 1
-                for term in hits:
-                    stats.term_hits[term] = stats.term_hits.get(term, 0) + 1
-            else:
-                dst.write(sentence + "\n")
+        lines = (line.rstrip("\n") for line in src)
+        dst.writelines(sentence + "\n" for sentence in _kept_sentences(lines, terms, stats))
     return stats

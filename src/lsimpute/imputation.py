@@ -15,6 +15,7 @@ coordinate stays inside the range spanned by the anchors.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ class LsiConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.unreachable_policy not in ("error", "anchor-mean"):
@@ -222,6 +223,7 @@ class ImputationResult:
     imputed: EmbeddingMatrix          # non-anchor domain tokens only
     iterations: int
     final_max_change: float
+    residual: float  # max |W·X − X| over non-anchor rows of the returned X
     converged: bool
     fallback_rows: int
     unreachable_tokens: list[str]
@@ -312,10 +314,12 @@ def impute(
 
     imputed_tokens = [domain_tokens[i] for i in non_anchor]
     imputed = EmbeddingMatrix(imputed_tokens, state[non_anchor])
+    residual = (w @ state)[non_anchor] - imputed.vectors
     return ImputationResult(
         imputed=imputed,
         iterations=iterations if len(non_anchor) else 0,
         final_max_change=max_change if len(non_anchor) else 0.0,
+        residual=float(np.abs(residual).max()) if len(non_anchor) else 0.0,
         converged=converged or not len(non_anchor),
         fallback_rows=len(weights.fallback_rows),
         unreachable_tokens=unreachable_tokens,
@@ -339,6 +343,7 @@ def lsi_pipeline(
             imputed=EmbeddingMatrix([], np.zeros((0, semantic.dim))),
             iterations=0,
             final_max_change=0.0,
+            residual=0.0,
             converged=True,
             fallback_rows=0,
             unreachable_tokens=[],

@@ -15,6 +15,7 @@ over the whole run.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,8 +44,10 @@ class SgnsConfig:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.negative < 1:
             raise ValueError(f"negative must be >= 1, got {self.negative}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not math.isfinite(self.sample):
+            raise ValueError(f"sample must be finite, got {self.sample}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.epochs < 1:

@@ -2,14 +2,17 @@
 
 Transition weights follow the three-case rule for a walk that moved t -> v
 and now picks the next node x among v's neighbors: 1/p if x == t (return),
-1 if x is adjacent to t, 1/q otherwise. Each (t -> v) state gets an alias
-table so sampling is O(1) per step; walks dominate runtime on graphs with
-tens of thousands of nodes.
+1 if x is adjacent to t, 1/q otherwise. Steps are drawn by rejection from
+the adjacency itself (KnightKing, Yang et al., SOSP 2019): a neighbor drawn
+uniformly is kept with probability weight / max(1/p, 1, 1/q). Memory is
+O(n + m), and the expected number of draws per step is at most
+max(1/p, 1, 1/q) / min(1/p, 1, 1/q), so 2 at p = q = 0.5 and 1 at p = q = 1.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,118 +32,68 @@ class WalkConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError(f"p and q must be positive, got p={self.p} q={self.q}")
+        if not (0 < self.p < math.inf and 0 < self.q < math.inf):  # NaN fails both
+            raise ValueError(f"p and q must be finite and positive, got p={self.p} q={self.q}")
         if self.n_walks < 1:
             raise ValueError(f"n_walks must be >= 1, got {self.n_walks}")
         if self.walk_length < 2:
             raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
 
 
-@dataclass(frozen=True)
-class AliasTable:
-    """Vose alias table for a fixed categorical distribution."""
-
-    prob: np.ndarray   # (n,) acceptance probabilities
-    alias: np.ndarray  # (n,) fallback outcomes
-    probabilities: np.ndarray  # (n,) the normalized distribution, kept for audit
-
-    def sample(self, rng: np.random.Generator) -> int:
-        i = int(rng.integers(len(self.prob)))
-        if rng.random() < self.prob[i]:
-            return i
-        return int(self.alias[i])
-
-
-def build_alias_table(weights: np.ndarray) -> AliasTable:
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if len(weights) == 0 or total <= 0:
-        raise ValueError("alias table needs at least one positive weight")
-    probs = weights / total
-    n = len(probs)
-    scaled = probs * n
-    prob = np.zeros(n)
-    alias = np.zeros(n, dtype=np.int64)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        if scaled[l] < 1.0:
-            small.append(l)
-        else:
-            large.append(l)
-    for i in large + small:
-        prob[i] = 1.0
-    return AliasTable(prob, alias, probs)
-
-
 @dataclass
 class WalkSampler:
-    """First-step tables per node and second-order tables per directed edge."""
+    """Adjacency that second-order steps are drawn from, and the three weights."""
 
-    neighbors: list[np.ndarray]
-    node_tables: dict[int, AliasTable]
-    edge_tables: dict[tuple[int, int], AliasTable]
+    neighbors: list[np.ndarray]  # sorted neighbor indices per node
+    neighbor_sets: list[set[int]]
     active_nodes: list[int]  # nodes with degree >= 1, walk start points
+    weights: tuple[float, float, float]  # (1/p, 1, 1/q): return, common neighbor, farther
 
 
 def build_transition_tables(g: LabeledGraph, cfg: WalkConfig) -> WalkSampler:
-    """Alias tables for every node and every directed edge (t -> v)."""
+    """The sorted adjacency and neighbor sets; no per-edge table is built."""
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
     adj = [np.array(nbrs, dtype=np.int64) for nbrs in g.neighbor_lists()]
-    neighbor_sets = [set(nbrs.tolist()) for nbrs in adj]
 
     isolated = [i for i in range(g.n_nodes) if len(adj[i]) == 0]
     if isolated:
         logger.warning("%d isolated nodes excluded from walks", len(isolated))
     active = [i for i in range(g.n_nodes) if len(adj[i]) > 0]
+    neighbor_sets = [set(nbrs.tolist()) for nbrs in adj]
+    return WalkSampler(adj, neighbor_sets, active, (1.0 / cfg.p, 1.0, 1.0 / cfg.q))
 
-    node_tables: dict[int, AliasTable] = {}
-    for v in active:
-        node_tables[v] = build_alias_table(np.ones(len(adj[v])))
 
-    edge_tables: dict[tuple[int, int], AliasTable] = {}
-    for v in active:
-        for t in adj[v]:
-            t = int(t)
-            weights = np.empty(len(adj[v]))
-            t_nbrs = neighbor_sets[t]
-            for k, x in enumerate(adj[v]):
-                x = int(x)
-                if x == t:
-                    weights[k] = 1.0 / cfg.p
-                elif x in t_nbrs:
-                    weights[k] = 1.0
-                else:
-                    weights[k] = 1.0 / cfg.q
-            edge_tables[(t, v)] = build_alias_table(weights)
-
-    return WalkSampler(adj, node_tables, edge_tables, active)
+def _weight(s: WalkSampler, t: int, x: int) -> float:
+    """Unnormalized weight of stepping to x after the move t -> v (x a neighbor of v)."""
+    if x == t:
+        return s.weights[0]
+    return s.weights[1] if x in s.neighbor_sets[t] else s.weights[2]
 
 
 def transition_probabilities(s: WalkSampler, t: int, v: int) -> np.ndarray:
     """Normalized transition distribution over v's neighbors for state (t -> v)."""
-    return s.edge_tables[(t, v)].probabilities
+    if t not in s.neighbor_sets[v]:
+        raise ValueError(f"{t} is not a neighbor of {v}")
+    weights = np.array([_weight(s, t, x) for x in s.neighbors[v].tolist()])
+    return weights / weights.sum()
 
 
 def _single_walk(s: WalkSampler, start: int, length: int, rng: np.random.Generator) -> list[int]:
+    # Rejection step: draw a neighbor x uniformly, then u, and accept when
+    # u * max(weights) < weight(prev, x); the first step accepts every draw.
+    # Drawing both on every trial keeps p = q = 1 walks equal to a uniform walker's.
+    bound = max(s.weights)
     walk = [start]
+    prev = -1
     while len(walk) < length:
-        cur = walk[-1]
-        nbrs = s.neighbors[cur]
-        if len(nbrs) == 0:
-            break
-        if len(walk) == 1:
-            nxt = int(nbrs[s.node_tables[cur].sample(rng)])
-        else:
-            prev = walk[-2]
-            nxt = int(nbrs[s.edge_tables[(prev, cur)].sample(rng)])
+        nbrs = s.neighbors[walk[-1]]
+        while True:
+            nxt = int(nbrs[rng.integers(len(nbrs))])
+            u = rng.random()
+            if prev < 0 or u * bound < _weight(s, prev, nxt):
+                break
+        prev = walk[-1]
         walk.append(nxt)
     return walk
 

@@ -150,6 +150,10 @@ def test_bad_paths_section_is_input_error(fixture_files, capsys, paths, named):
     ({"extraction": {"node_types": "ConceptType"}}, "extraction.node_types: expected list"),
     ({"extraction": {"label_predicate": 3}}, "extraction.label_predicate: expected str"),
     ({"lsi": {"k": True}}, "lsi.k: expected int"),
+    ({"extraction": {"node_types": ["ConceptType"]}, "walks": {"p": float("nan")}},
+     "invalid walks configuration: p and q must be finite and positive, got p=nan"),
+    ({"sgns_text": {"sample": float("nan")}},
+     "invalid sgns_text configuration: sample must be finite"),
 ])
 def test_mistyped_config_field_is_input_error(fixture_files, capsys, sections, named):
     files, tmp_path = fixture_files

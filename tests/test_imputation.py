@@ -213,6 +213,7 @@ def test_fixed_point_residual_below_eta():
         full[i] = res.imputed.row(tok)
     residual = np.abs((w.matrix @ full - full)[20:]).max()
     assert residual < cfg.eta
+    assert res.residual == residual
 
 
 def test_chain_matches_linear_system_oracle():
@@ -365,5 +366,7 @@ def test_config_validation():
         LsiConfig(k=0)
     with pytest.raises(ValueError):
         LsiConfig(eta=0.0)
+    with pytest.raises(ValueError):
+        LsiConfig(eta=float("inf"))
     with pytest.raises(ValueError):
         LsiConfig(unreachable_policy="bogus")

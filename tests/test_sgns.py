@@ -152,3 +152,7 @@ def test_config_validation():
         SgnsConfig(alpha=0.0)
     with pytest.raises(ValueError):
         SgnsConfig(negative=0)
+    with pytest.raises(ValueError):
+        SgnsConfig(alpha=float("inf"))
+    with pytest.raises(ValueError):
+        SgnsConfig(sample=float("inf"))
