@@ -145,18 +145,14 @@ def _train_sentence(
     # fix all pairs and negative draws up front; updates still run center by
     # center against current parameters, so SGD keeps its self-limiting step
     spans = rng.integers(1, window + 1, size=n)
-    bounds = []
-    contexts_l = []
-    for pos in range(n):
-        b = int(spans[pos])
-        lo, hi = max(0, pos - b), min(n, pos + b + 1)
-        ctx = np.concatenate([ids[lo:pos], ids[pos + 1 : hi]])
-        bounds.append(len(ctx))
-        contexts_l.append(ctx)
-    contexts_all = np.concatenate(contexts_l)
-    total = len(contexts_all)
-    if total == 0:
-        return 0.0, 0
+    pos = np.arange(n)
+    lo = np.maximum(pos - spans, 0)
+    reach = np.minimum(pos + spans + 1, n) - lo  # window slots, the center included
+    # positions lo..hi-1 of every center, laid end to end, minus the center
+    # itself: left contexts then right ones, each in sentence order
+    slot = np.arange(int(reach.sum())) + np.repeat(lo - (np.cumsum(reach) - reach), reach)
+    contexts_all = ids[slot[slot != np.repeat(pos, reach)]]
+    total = len(contexts_all)  # n >= 2 and spans >= 1: every center has a context
 
     negs = noise_cum.searchsorted(rng.random((total, negative)))
     bad = negs == contexts_all[:, None]
@@ -169,30 +165,37 @@ def _train_sentence(
     out_all = np.concatenate([contexts_all[:, None], negs], axis=1).reshape(-1)
 
     width = negative + 1
-    id_list = ids.tolist()
+    dim = w_out.shape[1]
+    # w_out is scattered through its flat view (a view because train_sgns_full
+    # makes it C-contiguous): one-dimensional ufunc.at is several times faster
+    # than the row form and adds to each entry in the same order
+    w_out_flat = w_out.reshape(-1)
+    out_base = out_all * dim
+    columns = np.arange(dim)
+    labels = np.zeros(len(out_all))
+    labels[::width] = 1.0
+    ends = (np.cumsum(reach - 1) * width).tolist()
     loss_sum = 0.0
-    offset = 0
-    for pos in range(n):
-        count = bounds[pos]
-        if count == 0:
-            continue
-        out_idx = out_all[offset * width : (offset + count) * width]
-        offset += count
-        center = id_list[pos]
-        u = w_out[out_idx]            # (count*(k+1), d), a gathered copy
-        v = w_in[center]
+    start = 0
+    for center, end in zip(ids.tolist(), ends):
+        out_idx = out_all[start:end]
+        u = w_out.take(out_idx, axis=0)  # (count*(k+1), d), a gathered copy
+        v = w_in[center]                 # a view: updated in place below
         scores = u.dot(v)
         if track_loss:
             signed = -scores
             signed[::width] = scores[::width]
             loss_sum -= float(_log_sigmoid(signed).sum())
         # g = alpha * (label - sigmoid): labels are 1 at each positive slot, else 0
-        g = _sigmoid(scores)
-        g[::width] -= 1.0
-        g *= -alpha
-        # both gradients use pre-update values: u is a copy, v is read first
-        np.add.at(w_out, out_idx, g[:, None] * v[None, :])
-        w_in[center] = v + g.dot(u)
+        g = labels[start:end] - _sigmoid(scores)
+        g *= alpha
+        # both gradients use pre-update values: u is a copy, v changes last
+        flat_idx = out_base[start:end, None] + columns
+        # the outer product as a rank-1 matmul: each entry is the one product
+        # g_i * v_j, and it skips the broadcasting machinery
+        np.add.at(w_out_flat, flat_idx.reshape(-1), g[:, None].dot(v[None, :]).reshape(-1))
+        v += g.dot(u)
+        start = end
     return loss_sum, total
 
 

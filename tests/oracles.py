@@ -6,6 +6,8 @@ projection steps, exhaustive scans) and shares no code with the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -103,3 +105,56 @@ def pair_log_likelihood(
     for neg in np.atleast_2d(negatives):
         value += log_sigmoid(-float(center @ neg))
     return value
+
+
+def sgns_sentence_sgd(
+    ids: np.ndarray,
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    noise_cum: np.ndarray,
+    keep_prob: np.ndarray,
+    negative: int,
+    window: int,
+    alpha: float,
+    rng: np.random.Generator,
+) -> int:
+    """One sentence of SGNS SGD, pair by pair in plain loops; returns the pair count.
+
+    Draws follow the trainer's documented stream: keep flags, one span per
+    kept position, then every negative (collisions with the positive redrawn).
+    Each center is one step: its gradients use the values from before it.
+    """
+    ids = [int(t) for t, r in zip(ids, rng.random(len(ids))) if r < keep_prob[t]]
+    n = len(ids)
+    if n < 2:
+        return 0
+    spans = rng.integers(1, window + 1, size=n)
+    pairs = []
+    for pos in range(n):
+        b = int(spans[pos])
+        for other in range(max(0, pos - b), min(n, pos + b + 1)):
+            if other != pos:
+                pairs.append((pos, ids[other]))
+    negs = noise_cum.searchsorted(rng.random((len(pairs), negative)))
+    contexts = np.array([c for _, c in pairs])
+    for _ in range(16):
+        bad = negs == contexts[:, None]
+        if not bad.any():
+            break
+        negs[bad] = noise_cum.searchsorted(rng.random(int(bad.sum())))
+    for pos in range(n):
+        center = ids[pos]
+        steps = []
+        for (p, context), row in zip(pairs, negs):
+            if p == pos:
+                steps.append((context, 1.0))
+                steps.extend((int(neg), 0.0) for neg in row)
+        v = w_in[center].copy()
+        outs = {o: w_out[o].copy() for o, _ in steps}
+        grad_center = np.zeros_like(v)
+        for o, label in steps:
+            g = alpha * (label - 1.0 / (1.0 + math.exp(-float(outs[o] @ v))))
+            grad_center += g * outs[o]
+            w_out[o] += g * v
+        w_in[center] = v + grad_center
+    return len(pairs)

@@ -6,7 +6,9 @@ import pytest
 from lsimpute import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
 
-from oracles import pair_log_likelihood
+from lsimpute.sgns import _keep_probabilities, _noise_cumulative, _train_sentence
+
+from oracles import pair_log_likelihood, sgns_sentence_sgd
 
 
 def two_cluster_corpus(n_sentences: int = 200) -> list[list[str]]:
@@ -109,6 +111,27 @@ def test_training_deterministic_single_threaded():
     e2 = train_sgns(two_cluster_corpus(40), cfg)
     assert e1.tokens == e2.tokens
     np.testing.assert_array_equal(e1.vectors, e2.vectors)
+
+
+def test_sentence_update_matches_pairwise_oracle():
+    # a five-token vocabulary makes repeated output rows within one center the
+    # rule, so the scatter must add every occurrence; sample > 0 drops tokens
+    rng = np.random.default_rng(3)
+    counts = np.array([40.0, 25.0, 15.0, 12.0, 8.0])
+    noise_cum = _noise_cumulative(counts)
+    keep_prob = _keep_probabilities(counts, 0.05)
+    for trial in range(20):
+        ids = rng.integers(0, 5, size=int(rng.integers(1, 16)))
+        w_in = rng.standard_normal((5, 6)) / 6
+        w_out = rng.standard_normal((5, 6)) / 6
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        _, pairs = _train_sentence(ids, w_in, w_out, noise_cum, keep_prob, 3, 4, 0.2,
+                                   np.random.default_rng(trial))
+        ref_pairs = sgns_sentence_sgd(ids, ref_in, ref_out, noise_cum, keep_prob, 3, 4, 0.2,
+                                      np.random.default_rng(trial))
+        assert pairs == ref_pairs
+        np.testing.assert_allclose(w_in, ref_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_out, ref_out, rtol=0, atol=1e-12)
 
 
 def test_graph_to_embedding_chain_deterministic():
