@@ -318,7 +318,6 @@ def cmd_impute(ns, config) -> None:
     report = {
         "imputed_tokens": len(result.imputed),
         "iterations": result.iterations,
-        "final_max_change": result.final_max_change,
         "residual": result.residual,
         "converged": result.converged,
         "fallback_rows": result.fallback_rows,
@@ -328,7 +327,7 @@ def cmd_impute(ns, config) -> None:
     report_path.write_text(json.dumps(report, indent=2), encoding="utf-8")
     outputs.append(report_path)
     print(f"imputed {len(result.imputed)} vectors in {result.iterations} iterations "
-          f"(final change {result.final_max_change:.2e}, residual {result.residual:.2e})")
+          f"(residual {result.residual:.2e})")
     write_manifest(
         out, "impute", values,
         {"semantic": semantic_path, "domain": domain_path}, outputs, started,

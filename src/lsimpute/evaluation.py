@@ -267,6 +267,8 @@ def bootstrap_eval(
     independent of evaluation order. Pairs with a term missing from the
     embedding are dropped and counted per subset.
     """
+    if n_resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {n_resamples}")
     scores: dict[str, dict[str, SubsetScore]] = {}
     missing: dict[str, int] = {}
     for subset, records in split.subsets.items():

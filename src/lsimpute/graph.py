@@ -252,8 +252,15 @@ def degree_stats(g: LabeledGraph) -> DegreeStats:
     )
 
 
+_TSV_BREAK_RE = re.compile(r"[\t\n\r]")
+
+
 def write_graph_tsv(g: LabeledGraph, nodes_path: str, edges_path: str) -> None:
-    """Interchange format: nodes.tsv (node_id, label) and edges.tsv (node_id, node_id)."""
+    """Interchange format: nodes.tsv (node_id, label) and edges.tsv (node_id, node_id).
+    A tab, LF or CR in a node ID or label would break its line and raises ValueError."""
+    for node_id, label in zip(g.node_ids, g.labels):
+        if _TSV_BREAK_RE.search(node_id) or _TSV_BREAK_RE.search(label):
+            raise ValueError(f"node {node_id!r} (label {label!r}) holds a tab or line break")
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node_id, label in zip(g.node_ids, g.labels):
             fh.write(f"{node_id}\t{label}\n")

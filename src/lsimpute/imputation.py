@@ -58,7 +58,7 @@ class NeighborGraph:
 
     neighbors: list[np.ndarray]            # sorted neighbor indices per row
     mst: np.ndarray                        # (n - 1, 2) integer pairs (i, j) with i < j
-    knn: np.ndarray                        # (m, 2) integer pairs (i, j) with i < j
+    knn: np.ndarray                        # (n, k) int32: each row's k nearest rows, sorted
 
     @property
     def n(self) -> int:
@@ -70,7 +70,7 @@ class NeighborGraph:
 
     @property
     def knn_edges(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.knn.tolist()))
+        return {(min(i, j), max(i, j)) for i, row in enumerate(self.knn.tolist()) for j in row}
 
     def edges(self) -> set[tuple[int, int]]:
         return self.mst_edges | self.knn_edges
@@ -87,12 +87,12 @@ def _sq_distances(x: np.ndarray, sq: np.ndarray, rows: slice) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _knn_pairs(x: np.ndarray, sq: np.ndarray, k: int) -> np.ndarray:
-    """Unique pairs (i, j), i < j, joining each row to its k nearest other rows;
+def _knn(x: np.ndarray, sq: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest other rows as an (n, k) int32 array, each row sorted;
     ties go to the smaller row index, as in a stable argsort of the row."""
     n = len(x)
     block = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))
-    keys = []
+    knn = np.empty((n, k), dtype=np.int32)
     for start in range(0, n, block):
         stop = min(start + block, n)
         dist = _sq_distances(x, sq, slice(start, stop))
@@ -102,10 +102,8 @@ def _knn_pairs(x: np.ndarray, sq: np.ndarray, k: int) -> np.ndarray:
         for r in np.flatnonzero(near.sum(axis=1) > k):  # ties at the k-th distance
             near[r] = False
             near[r, np.argsort(dist[r], kind="stable")[:k]] = True
-        rows, cols = np.nonzero(near)
-        rows += start
-        keys.append(np.minimum(rows, cols) * n + np.maximum(rows, cols))
-    return np.column_stack(np.divmod(np.unique(np.concatenate(keys)), n))
+        knn[start:stop] = np.nonzero(near)[1].reshape(-1, k)
+    return knn
 
 
 def _prim_mst(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -144,12 +142,15 @@ def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
 
     x = domain.vectors
     sq = np.einsum("ij,ij->i", x, x)
-    knn = _knn_pairs(x, sq, k)
+    knn = _knn(x, sq, k)
     mst = _prim_mst(x, sq)
 
-    both = np.concatenate([knn, mst, knn[:, ::-1], mst[:, ::-1]])
-    rows, cols = np.divmod(np.unique(both[:, 0] * n + both[:, 1]), n)
-    neighbors = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
+    rows = np.concatenate([np.repeat(np.arange(n, dtype=np.int32), k), mst[:, 0]], dtype=np.int32)
+    cols = np.concatenate([knn.ravel(), mst[:, 1]], dtype=np.int32)
+    a = sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    union = a + a.T
+    union.sort_indices()
+    neighbors = np.split(union.indices, union.indptr[1:-1])
     return NeighborGraph(neighbors, mst, knn)
 
 
@@ -222,7 +223,6 @@ def solve_weights(
 class ImputationResult:
     imputed: EmbeddingMatrix          # non-anchor domain tokens only
     iterations: int
-    final_max_change: float
     residual: float  # max |W·X − X| over non-anchor rows of the returned X
     converged: bool
     fallback_rows: int
@@ -294,33 +294,29 @@ def impute(
     state[dom_rows] = anchor_vectors
 
     w = weights.matrix
-    iterations = 0
-    max_change = np.inf
-    converged = False
-    for iterations in range(1, cfg.max_iters + 1):
-        nxt = w @ state
-        nxt[dom_rows] = anchor_vectors  # exact, not just numerically stable
-        # anchor rows are equal in both iterates; the old iterate serves as scratch
-        max_change = float(np.abs(np.subtract(state, nxt, out=state), out=state).max())
-        state = nxt
-        if max_change < cfg.eta:
-            converged = True
-            break
-    if not converged and len(non_anchor):
-        logger.warning(
-            "no convergence after %d iterations (last change %.3g)",
-            cfg.max_iters, max_change,
-        )
+    iterations, converged, residual = 0, True, 0.0
+    if len(non_anchor):
+        for iterations in range(1, cfg.max_iters + 1):
+            nxt = w @ state
+            nxt[dom_rows] = anchor_vectors  # exact, not just numerically stable
+            # anchor rows are equal in both iterates; the old iterate serves as scratch
+            max_change = float(np.abs(np.subtract(state, nxt, out=state), out=state).max())
+            state = nxt
+            if max_change < cfg.eta:
+                break
+        converged = max_change < cfg.eta
+        if not converged:
+            logger.warning(
+                "no convergence after %d iterations (last change %.3g)",
+                cfg.max_iters, max_change,
+            )
+        residual = float(np.abs((w @ state)[non_anchor] - state[non_anchor]).max())
 
-    imputed_tokens = [domain_tokens[i] for i in non_anchor]
-    imputed = EmbeddingMatrix(imputed_tokens, state[non_anchor])
-    residual = (w @ state)[non_anchor] - imputed.vectors
     return ImputationResult(
-        imputed=imputed,
-        iterations=iterations if len(non_anchor) else 0,
-        final_max_change=max_change if len(non_anchor) else 0.0,
-        residual=float(np.abs(residual).max()) if len(non_anchor) else 0.0,
-        converged=converged or not len(non_anchor),
+        imputed=EmbeddingMatrix([domain_tokens[i] for i in non_anchor], state[non_anchor]),
+        iterations=iterations,
+        residual=residual,
+        converged=converged,
         fallback_rows=len(weights.fallback_rows),
         unreachable_tokens=unreachable_tokens,
     )
@@ -339,15 +335,9 @@ def lsi_pipeline(
         raise ValueError("the two vocabularies share no tokens; imputation needs anchors")
     if len(anchors) == len(domain):
         logger.info("domain vocabulary fully covered; nothing to impute")
-        return ImputationResult(
-            imputed=EmbeddingMatrix([], np.zeros((0, semantic.dim))),
-            iterations=0,
-            final_max_change=0.0,
-            residual=0.0,
-            converged=True,
-            fallback_rows=0,
-            unreachable_tokens=[],
-        )
-    graph = knn_mst(domain, cfg.k)
-    weights = solve_weights(domain, graph, set(anchors.domain_rows()))
+        identity = sp.identity(len(domain), format="csr")
+        weights = WeightMatrix(identity, frozenset(anchors.domain_rows()))
+    else:
+        graph = knn_mst(domain, cfg.k)
+        weights = solve_weights(domain, graph, set(anchors.domain_rows()))
     return impute(weights, anchors, semantic, list(domain.tokens), cfg)

@@ -7,8 +7,9 @@ import pytest
 
 from lsimpute import EmbeddingMatrix, read_embeddings, write_embeddings
 from lsimpute.cli import main
+from lsimpute.evaluation import load_wordpair_dataset
 
-from conftest import write_pipeline_fixture
+from conftest import RDF_TYPE, RDFS_LABEL, write_pipeline_fixture
 
 
 @pytest.fixture()
@@ -161,6 +162,32 @@ def test_evaluate_no_embeddable_pairs_fails_with_counts(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "subset sizes" in err
+
+
+@pytest.mark.parametrize("resamples, code", [("1", 0), ("0", 1), ("-3", 1)])
+def test_evaluate_needs_one_resample(fixture_files, capsys, resamples, code):
+    files, tmp_path = fixture_files
+    terms = sorted(load_wordpair_dataset(str(files["dataset"])).terms())
+    rng = np.random.default_rng(6)
+    _write_embeddings(tmp_path / "emb.vec", terms, rng.standard_normal((len(terms), 4)))
+    assert main(["evaluate", "--embeddings", str(tmp_path / "emb.vec"),
+                 "--dataset", str(files["dataset"]), "--resamples", resamples,
+                 "--out-dir", str(tmp_path / "eval")]) == code
+    if code:
+        assert "resamples must be >= 1" in capsys.readouterr().err
+
+
+def test_extract_graph_rejects_label_with_tab_or_newline(tmp_path, capsys):
+    dump = tmp_path / "dump.nt"
+    dump.write_text(
+        f"<a> <{RDF_TYPE}> <T> .\n<b> <{RDF_TYPE}> <T> .\n<a> <linked> <b> .\n"
+        f'<a> <{RDFS_LABEL}> "Heart\\tAttack" .\n<b> <{RDFS_LABEL}> "Lung\\nCancer" .\n',
+        encoding="utf-8",
+    )
+    code = main(["extract-graph", "--dump", str(dump), "--node-type", "T",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "tab or line break" in capsys.readouterr().err
 
 
 def test_pipeline_reads_paths_from_config(fixture_files):

@@ -191,6 +191,14 @@ def test_graph_tsv_roundtrip(tmp_path):
     assert back.edges == g.edges
 
 
+@pytest.mark.parametrize("label", ["Heart\tAttack", "Lung\nCancer", "Carriage\rReturn"])
+def test_graph_tsv_rejects_label_breaking_its_line(tmp_path, label):
+    g = LabeledGraph(["n1", "n2"], ["Alpha", label], {(0, 1)})
+    with pytest.raises(ValueError, match="'n2'"):
+        write_graph_tsv(g, str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"))
+    assert not (tmp_path / "nodes.tsv").exists()
+
+
 def test_graph_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         LabeledGraph(["a", "b"], ["a", "b"], {(1, 1)})

@@ -43,6 +43,12 @@ def test_k_equals_n_minus_one_gives_complete_graph():
     assert g.edges() == {(i, j) for i in range(6) for j in range(i + 1, 6)}
 
 
+def _stable_knn(points: np.ndarray, k: int) -> np.ndarray:
+    exact = ((points[:, None] - points[None, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(exact, np.inf)
+    return np.sort(np.argsort(exact, axis=1, kind="stable")[:, :k], axis=1)
+
+
 def test_mst_matches_kruskal_oracle_and_degree_bound():
     rng = np.random.default_rng(99)
     for trial in range(30):
@@ -53,6 +59,8 @@ def test_mst_matches_kruskal_oracle_and_degree_bound():
             if k >= n:
                 continue
             g = knn_mst(domain, k)
+            assert g.knn.shape == (n, k) and g.knn.dtype == np.int32
+            np.testing.assert_array_equal(g.knn, _stable_knn(domain.vectors, k))
             assert g.mst_edges == kruskal_mst(domain.vectors)
             assert g.min_degree() >= k
 
@@ -75,14 +83,14 @@ def test_blocked_knn_and_mst_with_ties_across_blocks(monkeypatch):
     monkeypatch.setattr(imputation, "_BLOCK_BYTES", 8 * n * 5)
     monkeypatch.setattr(imputation, "_MIN_BLOCK_ROWS", 1)
     domain = _emb(points)
-    exact = ((points[:, None] - points[None, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(exact, np.inf)
     length = lambda edges: sum(np.linalg.norm(points[i] - points[j]) for i, j in edges)
     oracle_length = length(kruskal_mst(points))  # tied MSTs differ in edges, not in length
     for k in (1, 3, 4, 6):
         g = knn_mst(domain, k)
 
-        nearest = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        nearest = _stable_knn(points, k)
+        assert g.knn.shape == (n, k)
+        np.testing.assert_array_equal(g.knn, nearest)
         expected = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in nearest[i]}
         assert g.knn_edges == expected
 
@@ -176,6 +184,16 @@ def test_all_anchor_neighbors_converge_in_one_step():
     res = impute(weights, anchors, semantic, ["n0", "n1", "w"], LsiConfig(k=1, eta=1e-4))
     np.testing.assert_allclose(res.imputed.vectors[0], [0.25, 0.75], atol=1e-12)
     assert res.converged
+
+
+def test_all_anchors_with_identity_weights_impute_nothing():
+    weights = WeightMatrix(sp.identity(3, format="csr"), frozenset(range(3)))
+    semantic = _emb([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    anchors = AnchorMap([(2, 0), (0, 1), (1, 2)])
+    res = impute(weights, anchors, semantic, ["a", "b", "c"], LsiConfig(k=1))
+    assert len(res.imputed) == 0 and res.imputed.dim == 2
+    assert (res.iterations, res.residual, res.converged) == (0, 0.0, True)
+    assert res.unreachable_tokens == [] and res.fallback_rows == 0
 
 
 def test_anchor_vectors_bit_identical():
@@ -317,6 +335,8 @@ def test_pipeline_nothing_to_impute():
     res = lsi_pipeline(semantic, domain, LsiConfig(k=2))
     assert len(res.imputed) == 0
     assert res.converged
+    assert res.iterations == 0
+    assert res.residual == 0.0
 
 
 def test_pipeline_zero_anchors_fatal():
