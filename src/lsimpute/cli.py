@@ -221,14 +221,14 @@ def cmd_extract_graph(ns, config) -> None:
         "node_types": set(resolved["node_types"]),
         "bridge_types": set(resolved["bridge_types"]),
     })
-    triples = parse_ntriples_file(str(dump))
-    graph = extract_subgraph(triples, cfg)
+    tset = parse_ntriples_file(str(dump))
+    graph = extract_subgraph(tset, cfg)
     stats = degree_stats(graph)
     nodes_path = out / "nodes.tsv"
     edges_path = out / "edges.tsv"
     write_graph_tsv(graph, str(nodes_path), str(edges_path))
     print(f"extracted {stats.n_nodes} nodes and {stats.n_edges} edges "
-          f"(skipped {triples.skipped} malformed lines)")
+          f"(skipped {tset.skipped} malformed lines, {tset.blank_node_lines} blank-node lines)")
     write_manifest(out, "extract-graph", resolved, {"dump": dump}, [nodes_path, edges_path], started)
 
 

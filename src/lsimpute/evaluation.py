@@ -223,35 +223,48 @@ class EvalReport:
 
 
 def _score_subset(
-    human: np.ndarray, cosines: np.ndarray, n_resamples: int, seed: int
-) -> SubsetScore:
-    n = len(human)
-    if n < 2:
-        return SubsetScore(n, None, None, None, True, reason=f"only {n} evaluable pairs")
-    try:
-        point = pearson(cosines, human)
-    except ValueError as exc:
-        return SubsetScore(n, None, None, None, n < LOW_N_THRESHOLD, reason=str(exc))
+    humans: dict[str, np.ndarray], cosines: np.ndarray, n_resamples: int, seed: int
+) -> dict[str, SubsetScore]:
+    """Score each score type's human scores against the cosines.
 
-    values = []
-    degenerate = 0
-    for i in range(n_resamples):
-        rng = np.random.default_rng([seed, i])
-        idx = rng.integers(0, n, size=n)
+    Resample i draws one index from the stream keyed by (seed, i), and every
+    score type with a point estimate is scored on that same index.
+    """
+    n = len(cosines)
+    low_n = n < LOW_N_THRESHOLD
+    if n < 2:
+        return {t: SubsetScore(n, None, None, None, True, reason=f"only {n} evaluable pairs")
+                for t in humans}
+    scores: dict[str, SubsetScore] = {}
+    points: dict[str, float] = {}
+    for score_type, human in humans.items():
         try:
-            values.append(pearson(cosines[idx], human[idx]))
-        except ValueError:
-            degenerate += 1
-    if values:
-        arr = np.array(values)
-        boot_mean, boot_std = float(arr.mean()), float(arr.std())
-    else:
-        boot_mean = boot_std = None
-    return SubsetScore(
-        n, point, boot_mean, boot_std,
-        low_n=n < LOW_N_THRESHOLD,
-        degenerate_resamples=degenerate,
-    )
+            points[score_type] = pearson(cosines, human)
+        except ValueError as exc:
+            scores[score_type] = SubsetScore(n, None, None, None, low_n, reason=str(exc))
+
+    values: dict[str, list[float]] = {t: [] for t in points}
+    for i in range(n_resamples if points else 0):
+        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+        resampled = cosines[idx]
+        for score_type, found in values.items():
+            try:
+                found.append(pearson(resampled, humans[score_type][idx]))
+            except ValueError:
+                pass
+
+    for score_type, found in values.items():
+        if found:
+            arr = np.array(found)
+            boot_mean, boot_std = float(arr.mean()), float(arr.std())
+        else:
+            boot_mean = boot_std = None
+        scores[score_type] = SubsetScore(
+            n, points[score_type], boot_mean, boot_std,
+            low_n=low_n,
+            degenerate_resamples=n_resamples - len(found),
+        )
+    return {t: scores[t] for t in humans}
 
 
 def bootstrap_eval(
@@ -279,8 +292,6 @@ def bootstrap_eval(
         cosines = np.array(
             [cosine_similarity(embedding.row(r.term1), embedding.row(r.term2)) for r in usable]
         )
-        scores[subset] = {}
-        for score_type in SCORE_TYPES:
-            human = np.array([getattr(r, score_type) for r in usable])
-            scores[subset][score_type] = _score_subset(human, cosines, n_resamples, seed)
+        humans = {t: np.array([getattr(r, t) for r in usable]) for t in SCORE_TYPES}
+        scores[subset] = _score_subset(humans, cosines, n_resamples, seed)
     return EvalReport(scores, len(split.skipped), missing)

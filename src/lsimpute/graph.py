@@ -3,7 +3,10 @@
 The parser accepts the line-oriented N-Triples subset that RDF dumps are
 commonly distributed in: ``<s> <p> <o> .`` and ``<s> <p> "literal" .``.
 Malformed lines are skipped with a warning count rather than aborting, since
-dump files are large and imperfect.
+dump files are large and imperfect; lines with a blank node (``_:label``) as
+subject or object are counted apart and skipped too. Parsed triples are kept
+as integer columns over interned terms, so memory grows with the distinct
+terms, not with the lines.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import gzip
 import logging
 import re
 import sys
-from collections import defaultdict
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,11 +29,16 @@ RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 
 _IRI = r"<([^<>\s]*)>"
-_LITERAL = r'"((?:[^"\\]|\\.)*)"(?:\^\^<[^<>\s]*>|@[A-Za-z0-9-]+)?'
+# the unrolled form of "((?:[^"\\]|\\.)*)": the same groups, fewer backtracking steps
+_LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"(?:\^\^<[^<>\s]*>|@[A-Za-z0-9-]+)?'
 _TRIPLE_RE = re.compile(
     rf"^\s*{_IRI}\s+{_IRI}\s+(?:{_IRI}|{_LITERAL})\s*\.\s*$"
 )
-
+# a line that is a triple once blank nodes (_:label) may stand as subject or object
+_BNODE = r"_:[^\s<>\"]+"
+_BLANK_NODE_RE = re.compile(
+    rf"^\s*(?:{_IRI}|{_BNODE})\s+{_IRI}\s+(?:{_IRI}|{_BNODE}|{_LITERAL})\s*\.\s*$"
+)
 # ECHAR and UCHAR of W3C RDF 1.1 N-Triples, section 2.4
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\(?:([tbnrf\"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))")
@@ -58,38 +67,86 @@ class Triple:
     is_literal: bool
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: == would compare element-wise
 class TripleSet:
-    triples: list[Triple]
-    skipped: int = 0  # malformed lines
+    """Parsed triples as columns over interned terms.
+
+    Every distinct IRI or literal text is stored once in `terms`; row i of
+    `ids` holds the term ids of triple i's subject, predicate and object, and
+    `is_literal[i]` tells whether that object is a literal. An IRI and a
+    literal with the same text share one id.
+    """
+
+    terms: list[str]
+    ids: np.ndarray         # (m, 3) C int (int32): subject, predicate, object
+    is_literal: np.ndarray  # (m,) bool
+    skipped: int = 0        # malformed lines
+    blank_node_lines: int = 0  # well-formed lines with a blank-node subject or object; not kept
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.ids)
+
+    @property
+    def triples(self) -> Sequence[Triple]:
+        """Read-only sequence of `Triple`; each is built when it is read."""
+        return _TripleView(self)
+
+
+class _TripleView(Sequence):
+    """`TripleSet.triples`: row i as a `Triple`, built when it is read."""
+
+    def __init__(self, tset: TripleSet) -> None:
+        self._tset = tset
+
+    def __len__(self) -> int:
+        return len(self._tset.ids)
+
+    def __getitem__(self, i: int) -> Triple:
+        terms = self._tset.terms
+        s, p, o = self._tset.ids[i].tolist()
+        return Triple(terms[s], terms[p], terms[o], bool(self._tset.is_literal[i]))
 
 
 def parse_ntriples(lines: Iterable[str]) -> TripleSet:
-    """Parse N-Triples-like lines; malformed lines are counted and skipped."""
-    triples: list[Triple] = []
-    skipped = 0
+    """Parse N-Triples-like lines; malformed lines are counted and skipped.
+
+    Lines with a blank node as subject or object are counted apart, in
+    `blank_node_lines`, and not kept, so a blank node never becomes a graph node.
+    """
+    term_ids: dict[str, int] = {}
+    intern = term_ids.setdefault
+    ids = array("i")
+    is_literal = bytearray()
+    skipped = blank = 0
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         m = _TRIPLE_RE.match(line)
         if m is None:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if _BLANK_NODE_RE.match(line):
+                blank += 1
+                continue
             skipped += 1
             if skipped <= 5:
                 logger.warning("skipping malformed line %d: %s", lineno, stripped[:120])
             continue
-        s, p, o_iri, o_lit = m.groups()
-        p = sys.intern(p)  # a dump has few distinct predicates
-        if o_iri is not None:
-            triples.append(Triple(s, p, o_iri, False))
-        else:
-            triples.append(Triple(s, p, _unescape(o_lit), True))
+        s, p, o, literal = m.groups()
+        if o is None:
+            o = _unescape(literal)
+        is_literal.append(literal is not None)
+        ids.extend((intern(s, len(term_ids)), intern(p, len(term_ids)), intern(o, len(term_ids))))
     if skipped:
         logger.warning("skipped %d malformed lines in total", skipped)
-    return TripleSet(triples, skipped)
+    if blank:
+        logger.warning("skipped %d lines with a blank-node subject or object", blank)
+    return TripleSet(
+        list(term_ids),
+        np.frombuffer(ids, dtype=np.intc).reshape(-1, 3),
+        np.frombuffer(is_literal, dtype=np.bool_),
+        skipped,
+        blank,
+    )
 
 
 def open_maybe_gzip(path: str, mode: str = "rt") -> TextIO:
@@ -168,51 +225,65 @@ class LabeledGraph:
 def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
     """Keep typed nodes (plus connected bridge-typed nodes), drop edge types and direction.
 
-    Every triple whose subject and object are both kept nodes induces one
-    undirected edge; duplicates and self-loops collapse away. Kept nodes
-    missing a label are excluded and logged.
+    A triple is a type row when its predicate is the type predicate and its
+    object an IRI, a label row when its predicate is the label predicate and
+    its object a literal, and otherwise a link when its object is an IRI other
+    than its subject. Every link between two kept nodes induces one
+    undirected edge; duplicates collapse away. A node's first label row gives
+    its label; kept nodes missing a label are excluded and logged.
     """
-    types: dict[str, set[str]] = defaultdict(set)
-    labels: dict[str, str] = {}
-    links: list[tuple[str, str]] = []
-    for t in tset.triples:
-        if t.predicate == cfg.type_predicate and not t.is_literal:
-            types[t.subject].add(t.obj)
-        elif t.predicate == cfg.label_predicate and t.is_literal:
-            if t.subject in labels and labels[t.subject] != t.obj:
-                logger.debug("node %s has multiple labels; keeping first", t.subject)
-            else:
-                labels.setdefault(t.subject, t.obj)
-        elif not t.is_literal and t.subject != t.obj:
-            links.append((t.subject, t.obj))
+    wanted = {cfg.type_predicate, cfg.label_predicate, *cfg.node_types, *cfg.bridge_types}
+    found = {t: i for i, t in enumerate(tset.terms) if t in wanted}
+    n_terms = len(tset.terms)
+    subj, pred, obj = tset.ids.T
+    iri = ~tset.is_literal
 
-    primary = {n for n, ts in types.items() if ts & cfg.node_types}
+    is_type = iri & (pred == found.get(cfg.type_predicate, -1))
+    type_subj, type_obj = subj[is_type], obj[is_type]
+
+    def typed(types: set[str]) -> np.ndarray:
+        """Mask over term ids: subjects of a type row naming one of `types`."""
+        mask = np.zeros(n_terms, dtype=bool)
+        type_ids = [found[t] for t in types if t in found]
+        mask[type_subj[np.isin(type_obj, type_ids)]] = True
+        return mask
+
+    is_link = iri & ~is_type & (subj != obj)
+    link_subj, link_obj = subj[is_link], obj[is_link]
+
+    kept = typed(cfg.node_types)
     if cfg.bridge_types:
-        candidates = {n for n, ts in types.items() if ts & cfg.bridge_types}
-        bridged = set()
-        for s, o in links:
-            if s in primary and o in candidates:
-                bridged.add(o)
-            if o in primary and s in candidates:
-                bridged.add(s)
-        kept = primary | bridged
-    else:
-        kept = primary
+        candidate = typed(cfg.bridge_types)
+        bridged = np.zeros(n_terms, dtype=bool)
+        bridged[link_obj[kept[link_subj] & candidate[link_obj]]] = True
+        bridged[link_subj[kept[link_obj] & candidate[link_subj]]] = True
+        kept |= bridged
 
-    unlabeled = sorted(n for n in kept if n not in labels)
-    if unlabeled:
-        logger.warning("excluding %d kept nodes without a label", len(unlabeled))
-        kept -= set(unlabeled)
+    is_label = tset.is_literal & (pred == found.get(cfg.label_predicate, -1))
+    label_subj, label_obj = subj[is_label], obj[is_label]
+    labeled, first = np.unique(label_subj, return_index=True)
+    label_of = np.full(n_terms, -1, dtype=np.int64)
+    label_of[labeled] = label_obj[first]
+    conflicting = int((label_obj != label_of[label_subj]).sum())
+    if conflicting:
+        logger.debug("%d label rows differ from their node's first label; keeping the first",
+                     conflicting)
 
-    node_ids = sorted(kept)
-    index = {n: i for i, n in enumerate(node_ids)}
-    edges: set[tuple[int, int]] = set()
-    for s, o in links:
-        if s in index and o in index:
-            i, j = index[s], index[o]
-            edges.add((i, j) if i < j else (j, i))
+    unlabeled = kept & (label_of < 0)
+    if unlabeled.any():
+        logger.warning("excluding %d kept nodes without a label", int(unlabeled.sum()))
+        kept &= ~unlabeled
 
-    return LabeledGraph(node_ids, [labels[n] for n in node_ids], edges)
+    terms = tset.terms
+    kept_ids = sorted(np.flatnonzero(kept).tolist(), key=terms.__getitem__)
+    node_of = np.full(n_terms, -1, dtype=np.int64)
+    node_of[kept_ids] = np.arange(len(kept_ids))
+    i, j = node_of[link_subj], node_of[link_obj]
+    both = (i >= 0) & (j >= 0)
+    i, j = i[both], j[both]
+    edges = set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    labels = [terms[t] for t in label_of[kept_ids].tolist()]
+    return LabeledGraph([terms[t] for t in kept_ids], labels, edges)
 
 
 def connected_components(g: LabeledGraph) -> list[list[int]]:

@@ -18,10 +18,9 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .embeddings import EmbeddingMatrix
 
@@ -60,10 +59,6 @@ class SgnsResult:
     epoch_loss: list[float]      # mean negative log-likelihood per trained pair
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(x)
-
-
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # log sigma(x) = -log(1 + exp(-x)), stable for large |x|
     return -np.logaddexp(0.0, -x)
@@ -82,11 +77,13 @@ def sgns_pair_gradient(
     vector, the context vector, and each negative vector (ascent directions;
     the SGD update adds alpha times these).
     """
+    from scipy.special import expit  # loaded on first use, not at `import lsimpute`
+
     center = np.asarray(center, dtype=np.float64)
     context = np.asarray(context, dtype=np.float64)
     negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    g_pair = label - _sigmoid(center @ context)
-    g_neg = -_sigmoid(negatives @ center)  # (k,)
+    g_pair = label - expit(center @ context)
+    g_neg = -expit(negatives @ center)  # (k,)
     grad_center = g_pair * context + g_neg @ negatives
     grad_context = g_pair * center
     grad_negatives = g_neg[:, None] * center[None, :]
@@ -133,6 +130,7 @@ def _train_sentence(
     window: int,
     alpha: float,
     rng: np.random.Generator,
+    sigmoid: Callable[[np.ndarray], np.ndarray],
     track_loss: bool = False,
 ) -> tuple[float, int]:
     """SGD over one sentence, one batched update per center; returns (loss sum, pairs)."""
@@ -187,7 +185,7 @@ def _train_sentence(
             signed[::width] = scores[::width]
             loss_sum -= float(_log_sigmoid(signed).sum())
         # g = alpha * (label - sigmoid): labels are 1 at each positive slot, else 0
-        g = labels[start:end] - _sigmoid(scores)
+        g = labels[start:end] - sigmoid(scores)
         g *= alpha
         # both gradients use pre-update values: u is a copy, v changes last
         flat_idx = out_base[start:end, None] + columns
@@ -203,6 +201,8 @@ def train_sgns_full(
     corpus: Sequence[list[str]], cfg: SgnsConfig, track_loss: bool = True
 ) -> SgnsResult:
     """Train and return both the embedding matrix and the per-epoch loss curve."""
+    from scipy.special import expit  # loaded on first use, not at `import lsimpute`
+
     tokens, counts = build_vocabulary(corpus, cfg.min_count)
     index = {t: i for i, t in enumerate(tokens)}
     sentences = [
@@ -232,7 +232,7 @@ def train_sgns_full(
             alpha = cfg.alpha - (cfg.alpha - alpha_min) * (processed / total_sentences)
             loss, pairs = _train_sentence(
                 ids, w_in, w_out, noise_cum, keep_prob,
-                cfg.negative, cfg.window, alpha, rng, track_loss,
+                cfg.negative, cfg.window, alpha, rng, expit, track_loss,
             )
             loss_sum += loss
             pair_count += pairs

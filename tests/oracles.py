@@ -158,3 +158,59 @@ def sgns_sentence_sgd(
             w_out[o] += g * v
         w_in[center] = v + grad_center
     return len(pairs)
+
+
+def reference_extraction(
+    triples: list[tuple[str, str, str, bool]],
+    node_types: set[str],
+    bridge_types: set[str],
+    label_predicate: str,
+    type_predicate: str,
+) -> tuple[list[str], list[str], set[tuple[str, str]]]:
+    """Typed-subgraph extraction over (s, p, o, is_literal) tuples, row by row.
+
+    Returns the sorted kept node IDs, their first labels, and the edges as
+    (smaller ID, larger ID) pairs.
+    """
+    types: dict[str, set[str]] = {}
+    labels: dict[str, str] = {}
+    links = []
+    for s, p, o, is_literal in triples:
+        if p == type_predicate and not is_literal:
+            types.setdefault(s, set()).add(o)
+        elif p == label_predicate and is_literal:
+            labels.setdefault(s, o)
+        elif not is_literal and s != o:
+            links.append((s, o))
+    primary = {n for n, ts in types.items() if ts & node_types}
+    candidates = {n for n, ts in types.items() if ts & bridge_types}
+    kept = set(primary)
+    for s, o in links:
+        if s in primary and o in candidates:
+            kept.add(o)
+        if o in primary and s in candidates:
+            kept.add(s)
+    node_ids = sorted(n for n in kept if n in labels)
+    edges = {(min(s, o), max(s, o)) for s, o in links if s in node_ids and o in node_ids}
+    return node_ids, [labels[n] for n in node_ids], edges
+
+
+def per_score_bootstrap(
+    cosines: np.ndarray, human: np.ndarray, n_resamples: int, seed: int
+) -> tuple[float, list[float], int]:
+    """Point Pearson r, bootstrap r values and degenerate count for one score type.
+
+    Resample i draws its index from default_rng([seed, i]), one score type at
+    a time; a resample with a constant side is degenerate.
+    """
+    point = float(np.corrcoef(cosines, human)[0, 1])
+    values = []
+    degenerate = 0
+    for i in range(n_resamples):
+        idx = np.random.default_rng([seed, i]).integers(0, len(human), size=len(human))
+        x, y = cosines[idx], human[idx]
+        if x.min() == x.max() or y.min() == y.max():
+            degenerate += 1
+        else:
+            values.append(float(np.corrcoef(x, y)[0, 1]))
+    return point, values, degenerate

@@ -190,6 +190,21 @@ def test_extract_graph_rejects_label_with_tab_or_newline(tmp_path, capsys):
     assert "tab or line break" in capsys.readouterr().err
 
 
+def test_extract_graph_reports_malformed_and_blank_node_lines(tmp_path, capsys):
+    dump = tmp_path / "dump.nt"
+    dump.write_text(
+        f"<a> <{RDF_TYPE}> <T> .\n<b> <{RDF_TYPE}> <T> .\n<a> <linked> <b> .\n"
+        f'<a> <{RDFS_LABEL}> "A" .\n<b> <{RDFS_LABEL}> "B" .\n'
+        "_:x <linked> <a> .\n<b> <linked> _:y .\nnot a triple\n",
+        encoding="utf-8",
+    )
+    code = main(["extract-graph", "--dump", str(dump), "--node-type", "T",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert ("extracted 2 nodes and 1 edges (skipped 1 malformed lines, 2 blank-node lines)"
+            in capsys.readouterr().out)
+
+
 def test_pipeline_reads_paths_from_config(fixture_files):
     files, tmp_path = fixture_files
     config = json.loads(files["config"].read_text())

@@ -15,7 +15,9 @@ from lsimpute import (
     pearson,
     split_vocab,
 )
-from lsimpute.evaluation import DatasetFormatError, WordPair
+from lsimpute.evaluation import SCORE_TYPES, DatasetFormatError, WordPair
+
+from oracles import per_score_bootstrap
 
 
 def _dataset(rows: list[tuple[str, str, float, float]]) -> WordPairDataset:
@@ -177,6 +179,37 @@ def test_bootstrap_reproducible_and_reports_n():
     assert cell.n == 6
     assert cell.r is not None and -1 <= cell.r <= 1
     assert json.loads(r1.to_json())["subsets"]["imputed/imputed"]["relatedness"]["n"] == 6
+
+
+def test_bootstrap_matches_per_score_type_oracle():
+    emb = _toy_embedding()
+    # trained/trained: similarity takes two values, so some resamples are constant
+    # in similarity alone; imputed/imputed: scores spread over the range
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    rows = [(f"w{i}", f"w{j}", 200.0 if k == 0 else 100.0, 150.0 * k)
+            for k, (i, j) in enumerate(pairs)]
+    rng = np.random.default_rng(8)
+    rows += [(f"w{i + 4}", f"w{j + 4}", float(rng.uniform(0, 1600)), float(rng.uniform(0, 1600)))
+             for i, j in pairs]
+    trained, imputed = {f"w{i}" for i in range(4)}, {f"w{i}" for i in range(4, 8)}
+    split = classify_pairs(_dataset(rows), trained, imputed)
+    report = bootstrap_eval(emb, split, n_resamples=300, seed=4)
+    degenerate = {}
+    for subset in ("trained/trained", "imputed/imputed"):
+        records = split.subsets[subset]
+        cosines = np.array([cosine_similarity(emb.row(r.term1), emb.row(r.term2)) for r in records])
+        for score_type in SCORE_TYPES:
+            human = np.array([getattr(r, score_type) for r in records])
+            point, values, degenerate[subset, score_type] = per_score_bootstrap(
+                cosines, human, 300, 4)
+            cell = report.scores[subset][score_type]
+            assert cell.degenerate_resamples == degenerate[subset, score_type]
+            assert cell.r == pytest.approx(point, abs=1e-12)
+            assert cell.boot_mean == pytest.approx(np.mean(values), abs=1e-12)
+            assert cell.boot_std == pytest.approx(np.std(values), abs=1e-12)
+    assert degenerate["trained/trained", "similarity"] > 0
+    assert degenerate["trained/trained", "relatedness"] == 0
+    assert degenerate["imputed/imputed", "similarity"] == 0
 
 
 def test_bootstrap_two_point_subset_flagged_low_n():

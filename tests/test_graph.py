@@ -4,6 +4,8 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsimpute import (
     ExtractionConfig,
@@ -15,7 +17,7 @@ from lsimpute import (
 )
 from lsimpute.graph import read_graph_tsv, write_graph_tsv, parse_ntriples_file
 
-from oracles import transitive_closure_components
+from oracles import reference_extraction, transitive_closure_components
 
 TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -66,6 +68,57 @@ def test_parse_skips_garbage_with_count():
     ts = parse_ntriples(["<a> <p> <b> .", "complete garbage", "# comment", ""])
     assert len(ts) == 1
     assert ts.skipped == 1
+
+
+def test_parse_counts_blank_node_lines_apart_from_malformed():
+    ts = parse_ntriples([
+        "<a> <p> <b> .",
+        "_:b0 <p> <a> .",
+        "<a> <p> _:b1 .",
+        '_:b0 <p> "literal"@en .',
+        "<a> _:b2 <b> .",  # a blank node cannot be a predicate
+        "_:b0 <p> .",
+    ])
+    assert [(t.subject, t.obj) for t in ts.triples] == [("a", "b")]
+    assert (ts.blank_node_lines, ts.skipped) == (3, 2)
+
+
+def test_parse_empty_input_extracts_empty_graph():
+    ts = parse_ntriples(["# only a comment", "_:b0 <p> <a> ."])
+    assert len(ts) == 0 and ts.blank_node_lines == 1
+    g = extract_subgraph(ts, ExtractionConfig({"T"}))
+    assert g.n_nodes == 0 and g.n_edges == 0
+
+
+_ECHAR_OF = {"\t": "\\t", "\b": "\\b", "\n": "\\n", "\r": "\\r", "\f": "\\f",
+             '"': '\\"', "'": "\\'", "\\": "\\\\"}
+_MUST_ESCAPE = {'"', "\\", "\n", "\r"}
+
+
+def _escape(text: str, forms: list[int]) -> str:
+    """N-Triples string body for `text` (RDF 1.1 section 2.4): each character
+    written raw, as an ECHAR, or as a UCHAR, by its entry of `forms`."""
+    out = []
+    for ch, form in zip(text, forms):
+        options = [] if ch in _MUST_ESCAPE else [ch]
+        if ch in _ECHAR_OF:
+            options.append(_ECHAR_OF[ch])
+        if ord(ch) <= 0xFFFF:
+            options.append(f"\\u{ord(ch):04X}")
+        options.append(f"\\U{ord(ch):08x}")
+        out.append(options[form % len(options)])
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.characters(exclude_categories=("Cs",)), st.integers(0, 3))),
+       st.sampled_from(["", "@en", "^^<http://www.w3.org/2001/XMLSchema#string>"]))
+def test_parse_escape_round_trip(chars, suffix):
+    text = "".join(ch for ch, _ in chars)
+    body = _escape(text, [form for _, form in chars])
+    ts = parse_ntriples([f'<s> <p> "{body}"{suffix} .\n'])
+    assert ts.skipped == 0
+    assert (ts.triples[0].obj, ts.triples[0].is_literal) == (text, True)
 
 
 def test_parse_gzip_file(tmp_path):
@@ -140,6 +193,53 @@ def test_extract_edge_count_bounded_by_triples():
     ts = _mesh_like_triples()
     cfg = ExtractionConfig({"Descriptor"}, {"Concept"}, LABEL)
     assert extract_subgraph(ts, cfg).n_edges <= len(ts)
+
+
+def _random_dump(rng: np.random.Generator) -> list[tuple[str, str, str, bool]]:
+    """Rows over few names, so types, labels and links collide: bridge types,
+    repeated and conflicting labels, self-links, label rows with an IRI object,
+    type rows with a literal object, literals spelled like IRIs, and types
+    that are typed and labeled nodes themselves."""
+    names = [f"n{i}" for i in range(int(rng.integers(2, 12)))]
+    type_names = ["T", "U", "B", "C"]
+    rows = []
+    for _ in range(int(rng.integers(0, 60))):
+        s = str(rng.choice(names + type_names))
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            rows.append((s, TYPE, str(rng.choice(type_names)), False))
+        elif kind == 1:
+            rows.append((s, LABEL, f"label {rng.integers(0, 3)}", True))
+        elif kind == 2:  # the wrong kind of object for the predicate
+            if rng.random() < 0.5:
+                rows.append((s, TYPE, str(rng.choice(type_names)), True))
+            else:
+                rows.append((s, LABEL, str(rng.choice(names)), False))
+        elif kind == 3:  # a literal that spells an IRI used elsewhere
+            p = str(rng.choice(["rel", LABEL]))
+            rows.append((s, p, str(rng.choice(names + type_names)), True))
+        else:
+            rows.append((s, str(rng.choice(["rel", "sub"])), str(rng.choice(names)), False))
+    return rows
+
+
+def test_extract_matches_reference_extraction():
+    rng = np.random.default_rng(11)
+    predicates = [(LABEL, TYPE), ("rel", TYPE), (LABEL, "sub")]
+    for _ in range(300):
+        rows = _random_dump(rng)
+        lines = [f'<{s}> <{p}> "{o}" .' if lit else f"<{s}> <{p}> <{o}> ." for s, p, o, lit in rows]
+        node_types = {str(t) for t in rng.choice(["T", "U", "X"], size=int(rng.integers(1, 3)))}
+        bridge_types = set() if rng.random() < 0.3 else {"B", "C"}
+        label_predicate, type_predicate = predicates[int(rng.integers(0, len(predicates)))]
+        cfg = ExtractionConfig(node_types, bridge_types, label_predicate, type_predicate)
+        g = extract_subgraph(parse_ntriples(lines), cfg)
+        node_ids, labels, edges = reference_extraction(
+            rows, node_types, bridge_types, label_predicate, type_predicate
+        )
+        assert g.node_ids == node_ids
+        assert g.labels == labels
+        assert {(g.node_ids[i], g.node_ids[j]) for i, j in g.edges} == edges
 
 
 def test_config_requires_node_types():

@@ -118,6 +118,7 @@ def test_iteration_cap_raises_instead_of_partial_solution(monkeypatch):
 def test_import_leaves_scipy_optimize_unloaded():
     src = Path(lsimpute.__file__).resolve().parent.parent
     code = ("import sys, lsimpute, lsimpute.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+            "loaded = [m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules]; "
+            "sys.exit(', '.join(loaded) or None)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from lsimpute import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
@@ -126,7 +127,7 @@ def test_sentence_update_matches_pairwise_oracle():
         w_out = rng.standard_normal((5, 6)) / 6
         ref_in, ref_out = w_in.copy(), w_out.copy()
         _, pairs = _train_sentence(ids, w_in, w_out, noise_cum, keep_prob, 3, 4, 0.2,
-                                   np.random.default_rng(trial))
+                                   np.random.default_rng(trial), expit)
         ref_pairs = sgns_sentence_sgd(ids, ref_in, ref_out, noise_cum, keep_prob, 3, 4, 0.2,
                                       np.random.default_rng(trial))
         assert pairs == ref_pairs
