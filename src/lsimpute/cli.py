@@ -31,6 +31,7 @@ from .alignment import align_baseline, write_map
 from .corpus import filter_corpus_file
 from .embeddings import (
     EmbeddingFormatError,
+    EmbeddingMatrix,
     merge_embeddings,
     read_embeddings,
     write_embeddings,
@@ -51,7 +52,7 @@ from .graph import (
     write_graph_tsv,
 )
 from .imputation import LsiConfig, lsi_pipeline
-from .sgns import SgnsConfig, train_sgns
+from .sgns import SgnsConfig, train_sgns_full
 from .walks import WalkConfig, build_transition_tables, generate_walks, read_corpus, write_corpus
 
 logger = logging.getLogger(__name__)
@@ -166,6 +167,7 @@ def write_manifest(
     inputs: dict[str, Path],
     outputs: list[Path],
     started: float,
+    health: dict[str, Any] | None = None,
 ) -> Path:
     canonical = json.dumps(config, sort_keys=True, default=str)
     manifest = {
@@ -184,6 +186,8 @@ def write_manifest(
         },
         "elapsed_seconds": round(time.time() - started, 3),
     }
+    if health is not None:
+        manifest["health"] = health
     path = out_dir / f"{stage.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
     return path
@@ -232,6 +236,20 @@ def cmd_extract_graph(ns, config) -> None:
     write_manifest(out, "extract-graph", resolved, {"dump": dump}, [nodes_path, edges_path], started)
 
 
+def _train_sgns_with_health(
+    corpus: list[list[str]], cfg: SgnsConfig
+) -> tuple[EmbeddingMatrix, dict[str, Any]]:
+    """Train SGNS; the health record holds the mean pair loss per epoch and
+    the corpus tokens trained per second."""
+    start = time.perf_counter()
+    result = train_sgns_full(corpus, cfg)
+    tokens = cfg.epochs * sum(map(len, corpus))
+    return result.embeddings, {
+        "epoch_loss": result.epoch_loss,
+        "tokens_per_s": round(tokens / (time.perf_counter() - start), 1),
+    }
+
+
 def cmd_node2vec(ns, config) -> None:
     started = time.time()
     nodes = _require_file(ns.nodes, "--nodes")
@@ -249,7 +267,7 @@ def cmd_node2vec(ns, config) -> None:
     if ns.walks_out:
         write_corpus(walks, ns.walks_out)
         outputs.append(Path(ns.walks_out))
-    embeddings = train_sgns(walks, sgns_cfg)
+    embeddings, health = _train_sgns_with_health(walks, sgns_cfg)
     emb_path = out / "domain_embeddings.vec"
     write_embeddings(embeddings, str(emb_path))
     outputs.insert(0, emb_path)
@@ -257,7 +275,7 @@ def cmd_node2vec(ns, config) -> None:
           f"from {len(walks)} walks")
     write_manifest(
         out, "node2vec", {"walks": walk_values, "sgns": sgns_values},
-        {"nodes": nodes, "edges": edges}, outputs, started,
+        {"nodes": nodes, "edges": edges}, outputs, started, health,
     )
 
 
@@ -270,12 +288,13 @@ def cmd_train_sgns(ns, config) -> None:
     corpus = read_corpus(str(corpus_path))
     if not corpus:
         raise InputError(f"corpus {corpus_path} has no sentences")
-    embeddings = train_sgns(corpus, cfg)
+    embeddings, health = _train_sgns_with_health(corpus, cfg)
     emb_path = out / "embeddings.vec"
     write_embeddings(embeddings, str(emb_path))
     print(f"trained {len(embeddings)} word embeddings (dim {embeddings.dim}) "
           f"on {len(corpus)} sentences")
-    write_manifest(out, "train-sgns", values, {"corpus": corpus_path}, [emb_path], started)
+    write_manifest(out, "train-sgns", values, {"corpus": corpus_path}, [emb_path], started,
+                   health)
 
 
 def cmd_filter_corpus(ns, config) -> None:

@@ -145,12 +145,17 @@ def _format_value(v: float) -> str:
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
-    """Write word2vec text format, floats printed with exact round-trip precision."""
+    """Write word2vec text format, floats printed with exact round-trip precision.
+
+    An empty token, or one holding whitespace, would not read back as one
+    field and raises ValueError before the file is opened.
+    """
+    for row, token in enumerate(matrix.tokens):
+        if token.split() != [token]:
+            raise ValueError(f"row {row}: token {token!r} is empty or holds whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(matrix)} {matrix.dim}\n")
         for token, vec in zip(matrix.tokens, matrix.vectors):
-            if any(ch.isspace() for ch in token):
-                raise ValueError(f"token {token!r} contains whitespace, not writable")
             fh.write(token + " " + " ".join(_format_value(v) for v in vec) + "\n")
 
 

@@ -1,24 +1,43 @@
 """Skip-gram with negative sampling, trained with plain numpy.
 
 One trainer covers both inputs: random-walk corpora from a graph and text
-corpora. Updates are applied center by center, with each center's contexts
-and negatives handled in one vectorized batch; that keeps the usual SGD
-self-limiting behavior while avoiding a per-pair Python loop.
+corpora. Updates are applied center by center, so the usual SGD
+self-limiting behavior holds: every gradient of a center is taken at the
+values from before that center. Within a center the work is vectorized over
+its distinct output rows: a row drawn m times, p of them as the positive,
+gets the summed gradient alpha * (p - m * sigmoid(u.v)) in one plain
+scatter.
+
+Sentences are trained in batches of consecutive whole sentences holding at
+most one run of tokens (a longer sentence is a batch of its own). A batch
+draws from the generator, in this order:
+
+1. one keep flag per token of the batch, in corpus order (a token is kept
+   when its uniform draw is below its keep probability);
+2. one window span per kept token, uniform on [1, window];
+3. per run of at most `run_centers` kept tokens: `negative` noise draws per
+   (center, context) pair, pairs in center order and each center's contexts
+   left then right in sentence order; then up to 16 rounds that redraw the
+   negatives equal to their pair's positive.
+
+A run is what bounds the temporaries: `_RUN_SLOTS` output slots (pairs times
+negative + 1) at the widest windows, each slot-sized array within 512 KB.
+Contexts reach across a run boundary inside a sentence. The loss of a run
+comes from the scores stored per distinct row, so tracking it is cheap.
 
 Conventions follow the word2vec lineage: negative-sampling noise is the
 unigram distribution raised to 0.75, frequent tokens are down-sampled with
 threshold `sample`, the effective window per center is uniform on
 [1, window], and the learning rate decays linearly from alpha to alpha/10
-over the whole run.
+over the whole run, one step per sentence.
 """
-
 from __future__ import annotations
 
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,11 +76,6 @@ class SgnsConfig:
 class SgnsResult:
     embeddings: EmbeddingMatrix  # input vectors over the retained vocabulary
     epoch_loss: list[float]      # mean negative log-likelihood per trained pair
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    # log sigma(x) = -log(1 + exp(-x)), stable for large |x|
-    return -np.logaddexp(0.0, -x)
 
 
 def sgns_pair_gradient(
@@ -120,80 +134,114 @@ def _keep_probabilities(counts: np.ndarray, sample: float) -> np.ndarray:
     return np.minimum(keep, 1.0)
 
 
-def _train_sentence(
+# Output slots (pairs x (negative + 1)) in one run of centers: each slot-sized
+# int64 or float64 temporary of a run stays within 512 KB, however long the
+# sentences are. Twice this raised node2vec-hubs' peak RSS by 4.2 MB over the
+# per-sentence trainer, this by 2.4 MB, at the same speed.
+_RUN_SLOTS = 1 << 16
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start offsets of consecutive segments of the given sizes, and the total."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _run_centers(window: int, negative: int) -> int:
+    """Centers per run; a center has at most 2 * window contexts."""
+    return max(1, _RUN_SLOTS // (2 * window * (negative + 1)))
+
+
+def _train_batch(
     ids: np.ndarray,
+    lengths: np.ndarray,
+    alphas: np.ndarray,
     w_in: np.ndarray,
     w_out: np.ndarray,
     noise_cum: np.ndarray,
     keep_prob: np.ndarray,
     negative: int,
     window: int,
-    alpha: float,
+    run_centers: int,
     rng: np.random.Generator,
-    sigmoid: Callable[[np.ndarray], np.ndarray],
     track_loss: bool = False,
 ) -> tuple[float, int]:
-    """SGD over one sentence, one batched update per center; returns (loss sum, pairs)."""
-    if len(ids) > 0:
-        ids = ids[rng.random(len(ids)) < keep_prob[ids]]
-    n = len(ids)
-    if n < 2:
-        return 0.0, 0
+    """SGD over a batch of sentences laid end to end in `ids`; returns (loss sum, pairs).
 
-    # fix all pairs and negative draws up front; updates still run center by
-    # center against current parameters, so SGD keeps its self-limiting step
-    spans = rng.integers(1, window + 1, size=n)
-    pos = np.arange(n)
-    lo = np.maximum(pos - spans, 0)
-    reach = np.minimum(pos + spans + 1, n) - lo  # window slots, the center included
-    # positions lo..hi-1 of every center, laid end to end, minus the center
-    # itself: left contexts then right ones, each in sentence order
-    slot = np.arange(int(reach.sum())) + np.repeat(lo - (np.cumsum(reach) - reach), reach)
-    contexts_all = ids[slot[slot != np.repeat(pos, reach)]]
-    total = len(contexts_all)  # n >= 2 and spans >= 1: every center has a context
+    Sentence i holds lengths[i] tokens and trains at rate alphas[i]. Kept
+    positions are trained in runs of at most `run_centers` centers; contexts
+    reach across a run boundary inside a sentence.
+    """
+    from scipy.special import expit  # loaded on first use, not at `import lsimpute`
 
-    negs = noise_cum.searchsorted(rng.random((total, negative)))
-    bad = negs == contexts_all[:, None]
-    for _ in range(16):  # resample collisions; give up for degenerate vocabularies
-        if not bad.any():
-            break
-        negs[bad] = noise_cum.searchsorted(rng.random(int(bad.sum())))
-        bad = negs == contexts_all[:, None]
-    # outputs per context: the positive first, then its negatives
-    out_all = np.concatenate([contexts_all[:, None], negs], axis=1).reshape(-1)
-
-    width = negative + 1
-    dim = w_out.shape[1]
-    # w_out is scattered through its flat view (a view because train_sgns_full
-    # makes it C-contiguous): one-dimensional ufunc.at is several times faster
-    # than the row form and adds to each entry in the same order
-    w_out_flat = w_out.reshape(-1)
-    out_base = out_all * dim
-    columns = np.arange(dim)
-    labels = np.zeros(len(out_all))
-    labels[::width] = 1.0
-    ends = (np.cumsum(reach - 1) * width).tolist()
+    keep = rng.random(len(ids)) < keep_prob[ids]
+    kept = ids[keep]
+    bounds = _offsets(keep)[_offsets(lengths)]  # each sentence's offset among kept tokens
+    spans = rng.integers(1, window + 1, size=len(kept))
+    vocab = len(w_out)
     loss_sum = 0.0
-    start = 0
-    for center, end in zip(ids.tolist(), ends):
-        out_idx = out_all[start:end]
-        u = w_out.take(out_idx, axis=0)  # (count*(k+1), d), a gathered copy
-        v = w_in[center]                 # a view: updated in place below
-        scores = u.dot(v)
+    total = 0
+    for r0 in range(0, len(kept), run_centers):
+        pos = np.arange(r0, min(r0 + run_centers, len(kept)))
+        sent = bounds.searchsorted(pos, side="right") - 1
+        lo = np.maximum(pos - spans[pos], bounds[sent])
+        reach = np.minimum(pos + spans[pos] + 1, bounds[sent + 1]) - lo  # the center included
+        # positions lo..hi-1 of every center, laid end to end, minus the center
+        # itself: left contexts then right ones, each in sentence order
+        slot = np.arange(int(reach.sum())) + np.repeat(lo - (np.cumsum(reach) - reach), reach)
+        pair_center = np.repeat(pos, reach)
+        is_context = slot != pair_center
+        n_pairs = int(is_context.sum())
+
+        # one output slot per column: the positive, then its negatives
+        keys = np.empty((n_pairs, negative + 1), dtype=np.int64)
+        keys[:, 0] = kept[slot[is_context]]
+        keys[:, 1:] = noise_cum.searchsorted(rng.random((n_pairs, negative)))
+        bad = keys[:, 1:] == keys[:, :1]
+        for _ in range(16):  # resample collisions; give up for degenerate vocabularies
+            if not bad.any():
+                break
+            keys[:, 1:][bad] = noise_cum.searchsorted(rng.random(int(bad.sum())))
+            bad = keys[:, 1:] == keys[:, :1]
+        # keys center-major, so one sort gives each center its distinct output
+        # rows, with their multiplicity and their positive count
+        keys += ((pair_center[is_context] - r0) * vocab)[:, None]
+        pos_keys, pos_count = np.unique(keys[:, 0], return_counts=True)
+        keys, mult = np.unique(keys, return_counts=True)
+        pos_at = keys.searchsorted(pos_keys)
+        # entries of center i are ends[i] - counts[i]:ends[i]; a center
+        # without contexts (a one-token sentence) has none
+        ends = keys.searchsorted(np.arange(1, len(pos) + 1) * vocab)
+        counts = np.diff(ends, prepend=0)
+        rows = keys
+        rows -= np.repeat((pos - r0) * vocab, counts)  # in place: keys to output rows
+        # a row drawn mult times, p of them as the positive, gets the summed
+        # gradient g = alpha * (p - mult * sigmoid(score))
+        a_mult = np.repeat(alphas[sent], counts)
+        a_pos = np.zeros(len(rows))
+        a_pos[pos_at] = a_mult[pos_at] * pos_count
+        a_mult *= mult
+        scores = np.empty(len(rows))
+        for c, a, b in zip(kept[pos].tolist(), (ends - counts).tolist(), ends.tolist()):
+            out = rows[a:b]
+            u = w_out.take(out, axis=0)  # a gathered copy
+            v = w_in[c]                  # a view: updated in place below
+            s = u.dot(v)
+            scores[a:b] = s
+            g = a_pos[a:b] - a_mult[a:b] * expit(s)
+            # both gradients use pre-update values: u is a copy, v changes
+            # last. The outer product is a rank-1 matmul, which skips the
+            # broadcasting machinery; the rows are distinct, so a plain
+            # scatter writes each once.
+            step = g[:, None].dot(v[None, :])
+            step += u
+            w_out[out] = step
+            v += g.dot(u)
         if track_loss:
-            signed = -scores
-            signed[::width] = scores[::width]
-            loss_sum -= float(_log_sigmoid(signed).sum())
-        # g = alpha * (label - sigmoid): labels are 1 at each positive slot, else 0
-        g = labels[start:end] - sigmoid(scores)
-        g *= alpha
-        # both gradients use pre-update values: u is a copy, v changes last
-        flat_idx = out_base[start:end, None] + columns
-        # the outer product as a rank-1 matmul: each entry is the one product
-        # g_i * v_j, and it skips the broadcasting machinery
-        np.add.at(w_out_flat, flat_idx.reshape(-1), g[:, None].dot(v[None, :]).reshape(-1))
-        v += g.dot(u)
-        start = end
+            # -p log sigma(s) - (mult - p) log sigma(-s) = mult log(1 + e^s) - p s,
+            # as log sigma(s) = log sigma(-s) + s
+            loss_sum -= float(pos_count.dot(scores[pos_at]))
+            loss_sum += float(mult.dot(np.logaddexp(0.0, scores, out=scores)))
+        total += n_pairs
     return loss_sum, total
 
 
@@ -201,17 +249,29 @@ def train_sgns_full(
     corpus: Sequence[list[str]], cfg: SgnsConfig, track_loss: bool = True
 ) -> SgnsResult:
     """Train and return both the embedding matrix and the per-epoch loss curve."""
-    from scipy.special import expit  # loaded on first use, not at `import lsimpute`
-
     tokens, counts = build_vocabulary(corpus, cfg.min_count)
-    index = {t: i for i, t in enumerate(tokens)}
-    sentences = [
-        np.array([index[t] for t in sent if t in index], dtype=np.int64)
-        for sent in corpus
-    ]
-    sentences = [s for s in sentences if len(s) > 0]
-    if not sentences:
-        raise ValueError("corpus is empty")
+    # the corpus as one id array with sentence lengths; tokens under min_count
+    # are dropped, and then sentences left empty
+    get = {t: i for i, t in enumerate(tokens)}.get
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    ids = np.fromiter((get(t, -1) for sent in corpus for t in sent),
+                      dtype=np.int64, count=int(lengths.sum()))
+    known = ids >= 0
+    lengths = np.diff(_offsets(known)[_offsets(lengths)])
+    ids = ids[known]
+    lengths = lengths[lengths > 0]
+    offsets = _offsets(lengths)
+
+    # batches of whole sentences with at most one run of tokens, unless a
+    # single sentence is longer than that
+    run_centers = _run_centers(cfg.window, cfg.negative)
+    batches = []
+    first = 0
+    while first < len(lengths):
+        stop = int(offsets.searchsorted(offsets[first] + run_centers, side="right")) - 1
+        stop = max(stop, first + 1)
+        batches.append((first, stop))
+        first = stop
 
     noise_cum = _noise_cumulative(counts)
     keep_prob = _keep_probabilities(counts, cfg.sample)
@@ -220,7 +280,7 @@ def train_sgns_full(
     w_in = (rng.random((len(tokens), cfg.dim)) - 0.5) / cfg.dim
     w_out = np.zeros((len(tokens), cfg.dim))
 
-    total_sentences = cfg.epochs * len(sentences)
+    total_sentences = cfg.epochs * len(lengths)
     alpha_min = cfg.alpha / 10.0
     epoch_loss: list[float] = []
 
@@ -228,15 +288,17 @@ def train_sgns_full(
     for epoch in range(cfg.epochs):
         loss_sum = 0.0
         pair_count = 0
-        for ids in sentences:
-            alpha = cfg.alpha - (cfg.alpha - alpha_min) * (processed / total_sentences)
-            loss, pairs = _train_sentence(
-                ids, w_in, w_out, noise_cum, keep_prob,
-                cfg.negative, cfg.window, alpha, rng, expit, track_loss,
+        for first, stop in batches:
+            # the rate decays linearly per sentence
+            done = processed + np.arange(stop - first)
+            alphas = cfg.alpha - (cfg.alpha - alpha_min) * (done / total_sentences)
+            loss, pairs = _train_batch(
+                ids[offsets[first]:offsets[stop]], lengths[first:stop], alphas, w_in, w_out,
+                noise_cum, keep_prob, cfg.negative, cfg.window, run_centers, rng, track_loss,
             )
             loss_sum += loss
             pair_count += pairs
-            processed += 1
+            processed += stop - first
         if track_loss:
             epoch_loss.append(loss_sum / max(pair_count, 1))
             logger.debug("epoch %d: mean pair loss %.6f", epoch, epoch_loss[-1])

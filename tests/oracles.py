@@ -107,57 +107,69 @@ def pair_log_likelihood(
     return value
 
 
-def sgns_sentence_sgd(
-    ids: np.ndarray,
+def sgns_batch_sgd(
+    sentences: list[np.ndarray],
+    alphas: list[float],
     w_in: np.ndarray,
     w_out: np.ndarray,
     noise_cum: np.ndarray,
     keep_prob: np.ndarray,
     negative: int,
     window: int,
-    alpha: float,
+    run_centers: int,
     rng: np.random.Generator,
-) -> int:
-    """One sentence of SGNS SGD, pair by pair in plain loops; returns the pair count.
+) -> tuple[float, int]:
+    """One batch of SGNS SGD, pair by pair in plain loops; returns (loss sum, pairs).
 
-    Draws follow the trainer's documented stream: keep flags, one span per
-    kept position, then every negative (collisions with the positive redrawn).
-    Each center is one step: its gradients use the values from before it.
+    Draws follow the trainer's documented stream: a keep flag for every token
+    of the batch, one span per kept token, then for each run of `run_centers`
+    kept tokens every negative of the run's pairs (collisions with the
+    positive redrawn). Each center is one step at its sentence's alpha: its
+    gradients use the values from before it, and so does its loss,
+    -log sigma(score) for a positive and -log sigma(-score) for a negative.
     """
-    ids = [int(t) for t, r in zip(ids, rng.random(len(ids))) if r < keep_prob[t]]
-    n = len(ids)
-    if n < 2:
-        return 0
-    spans = rng.integers(1, window + 1, size=n)
-    pairs = []
-    for pos in range(n):
-        b = int(spans[pos])
-        for other in range(max(0, pos - b), min(n, pos + b + 1)):
-            if other != pos:
-                pairs.append((pos, ids[other]))
-    negs = noise_cum.searchsorted(rng.random((len(pairs), negative)))
-    contexts = np.array([c for _, c in pairs])
-    for _ in range(16):
-        bad = negs == contexts[:, None]
-        if not bad.any():
-            break
-        negs[bad] = noise_cum.searchsorted(rng.random(int(bad.sum())))
-    for pos in range(n):
-        center = ids[pos]
-        steps = []
-        for (p, context), row in zip(pairs, negs):
-            if p == pos:
-                steps.append((context, 1.0))
-                steps.extend((int(neg), 0.0) for neg in row)
-        v = w_in[center].copy()
-        outs = {o: w_out[o].copy() for o, _ in steps}
-        grad_center = np.zeros_like(v)
-        for o, label in steps:
-            g = alpha * (label - 1.0 / (1.0 + math.exp(-float(outs[o] @ v))))
-            grad_center += g * outs[o]
-            w_out[o] += g * v
-        w_in[center] = v + grad_center
-    return len(pairs)
+    flags = iter(rng.random(sum(len(s) for s in sentences)))
+    kept = [[int(t) for t in s if next(flags) < keep_prob[t]] for s in sentences]
+    centers = [(i, pos) for i, toks in enumerate(kept) for pos in range(len(toks))]
+    spans = rng.integers(1, window + 1, size=len(centers))
+    total = 0
+    loss = 0.0
+    for r0 in range(0, len(centers), run_centers):
+        run = range(r0, min(r0 + run_centers, len(centers)))
+        pairs = []
+        for c in run:
+            i, pos = centers[c]
+            b = int(spans[c])
+            for other in range(max(0, pos - b), min(len(kept[i]), pos + b + 1)):
+                if other != pos:
+                    pairs.append((c, kept[i][other]))
+        negs = noise_cum.searchsorted(rng.random((len(pairs), negative)))
+        contexts = np.array([o for _, o in pairs])
+        for _ in range(16):
+            bad = negs == contexts[:, None]
+            if not bad.any():
+                break
+            negs[bad] = noise_cum.searchsorted(rng.random(int(bad.sum())))
+        for c in run:
+            i, pos = centers[c]
+            steps = []
+            for (p, context), row in zip(pairs, negs):
+                if p == c:
+                    steps.append((context, 1.0))
+                    steps.extend((int(neg), 0.0) for neg in row)
+            center = kept[i][pos]
+            v = w_in[center].copy()
+            outs = {o: w_out[o].copy() for o, _ in steps}
+            grad_center = np.zeros_like(v)
+            for o, label in steps:
+                score = float(outs[o] @ v)
+                loss += math.log1p(math.exp(-score if label else score))
+                g = alphas[i] * (label - 1.0 / (1.0 + math.exp(-score)))
+                grad_center += g * outs[o]
+                w_out[o] += g * v
+            w_in[center] = v + grad_center
+        total += len(pairs)
+    return loss, total
 
 
 def reference_extraction(

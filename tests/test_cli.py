@@ -150,6 +150,31 @@ def test_train_sgns_subcommand(tmp_path):
                  "--min-count", "1", "--sample", "0", "--out-dir", str(tmp_path)]) == 0
     emb = read_embeddings(str(tmp_path / "embeddings.vec"))
     assert set(emb.tokens) == {"a", "b", "c"} and emb.dim == 8
+    health = json.loads((tmp_path / "train_sgns_manifest.json").read_text())["health"]
+    assert len(health["epoch_loss"]) == 2 and health["tokens_per_s"] > 0
+
+
+def _write_ring_graph(tmp_path, labels):
+    nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    nodes.write_text("".join(f"n{i}\t{label}\n" for i, label in enumerate(labels)))
+    edges.write_text("".join(f"n{i}\tn{(i + 1) % len(labels)}\n" for i in range(len(labels))))
+    return ["node2vec", "--nodes", str(nodes), "--edges", str(edges), "--dim", "4",
+            "--epochs", "3", "--window", "2", "--negative", "2", "--min-count", "1",
+            "--n-walks", "2", "--walk-length", "6", "--out-dir", str(tmp_path / "out")]
+
+
+def test_node2vec_manifest_records_sgns_health(tmp_path):
+    assert main(_write_ring_graph(tmp_path, ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"])) == 0
+    manifest = json.loads((tmp_path / "out" / "node2vec_manifest.json").read_text())
+    assert len(manifest["health"]["epoch_loss"]) == 3
+    assert manifest["health"]["tokens_per_s"] > 0
+
+
+def test_node2vec_empty_label_fails_without_partial_file(tmp_path, capsys):
+    # an empty label becomes the walk token "", which no embedding file can hold
+    assert main(_write_ring_graph(tmp_path, ["Alpha", "", "Gamma", "Delta"])) == 1
+    assert "token ''" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "domain_embeddings.vec").exists()
 
 
 def test_evaluate_no_embeddable_pairs_fails_with_counts(tmp_path, capsys):

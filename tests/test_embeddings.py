@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsimpute import (
     EmbeddingMatrix,
@@ -58,6 +62,15 @@ def test_write_simple(tmp_path):
     assert p.read_text() == "1 2\na 1 0\n"
 
 
+@pytest.mark.parametrize("token", ["", "two words", "tab\there", "line\nbreak", "nbsp\u00a0"])
+def test_write_rejects_unreadable_token_before_opening(tmp_path, token):
+    p = tmp_path / "emb.vec"
+    m = EmbeddingMatrix(["ok", token], np.ones((2, 3)))
+    with pytest.raises(ValueError, match=f"row 1: token {re.escape(repr(token))}"):
+        write_embeddings(m, str(p))
+    assert not p.exists()
+
+
 def test_write_empty_matrix(tmp_path):
     p = tmp_path / "emb.vec"
     write_embeddings(EmbeddingMatrix([], np.zeros((0, 5))), str(p))
@@ -78,6 +91,26 @@ def test_roundtrip_random_matrices(tmp_path):
         back = read_embeddings(str(p))
         assert back.tokens == m.tokens
         np.testing.assert_array_equal(back.vectors, m.vectors)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 7.0, -(2.0**60), 1e22])
+_TOKEN = st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(
+    lambda t: t.split() == [t])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_roundtrip_property(tmp_path_factory, data):
+    dim = data.draw(st.integers(1, 4))
+    tokens = data.draw(st.lists(_TOKEN, max_size=6, unique=True))
+    values = data.draw(st.lists(_FINITE, min_size=dim * len(tokens), max_size=dim * len(tokens)))
+    m = EmbeddingMatrix(tokens, np.array(values, dtype=np.float64).reshape(len(tokens), dim))
+    p = tmp_path_factory.mktemp("prop") / "emb.vec"
+    write_embeddings(m, str(p))
+    back = read_embeddings(str(p))
+    assert back.tokens == m.tokens
+    assert back.vectors.tobytes() == m.vectors.tobytes()  # -0.0 and subnormals included
 
 
 def test_write_read_write_byte_identical(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsimpute import (
     AnchorMap,
@@ -63,6 +65,26 @@ def test_mst_matches_kruskal_oracle_and_degree_bound():
             np.testing.assert_array_equal(g.knn, _stable_knn(domain.vectors, k))
             assert g.mst_edges == kruskal_mst(domain.vectors)
             assert g.min_degree() >= k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_knn_mst_properties_on_small_point_sets(data):
+    # small integer coordinates: duplicate points and tied distances are
+    # common, and every squared distance is exact in float64
+    n = data.draw(st.integers(2, 16))
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, n - 1))
+    points = np.array(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                         min_size=n, max_size=n)), dtype=np.float64)
+    g = knn_mst(_emb(points), k)
+    assert g.min_degree() >= k
+    for i, nbrs in enumerate(g.neighbors):
+        assert i not in nbrs
+        assert all(i in g.neighbors[j] for j in nbrs)
+    assert len(g.mst) == n - 1 and len(g.mst_edges) == n - 1
+    assert len(transitive_closure_components(n, g.mst_edges)) == 1
+    np.testing.assert_array_equal(g.knn, _stable_knn(points, k))
 
 
 def test_adjacency_symmetric():

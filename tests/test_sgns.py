@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,9 +10,9 @@ from scipy.special import expit
 from lsimpute import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
 
-from lsimpute.sgns import _keep_probabilities, _noise_cumulative, _train_sentence
+from lsimpute.sgns import _keep_probabilities, _noise_cumulative, _train_batch
 
-from oracles import pair_log_likelihood, sgns_sentence_sgd
+from oracles import pair_log_likelihood, sgns_batch_sgd
 
 
 def two_cluster_corpus(n_sentences: int = 200) -> list[list[str]]:
@@ -116,23 +119,48 @@ def test_training_deterministic_single_threaded():
 
 def test_sentence_update_matches_pairwise_oracle():
     # a five-token vocabulary makes repeated output rows within one center the
-    # rule, so the scatter must add every occurrence; sample > 0 drops tokens
+    # rule, so each distinct row must carry every occurrence; sample > 0 drops
+    # tokens, and short runs split sentences, so contexts cross run boundaries
     rng = np.random.default_rng(3)
     counts = np.array([40.0, 25.0, 15.0, 12.0, 8.0])
     noise_cum = _noise_cumulative(counts)
     keep_prob = _keep_probabilities(counts, 0.05)
     for trial in range(20):
-        ids = rng.integers(0, 5, size=int(rng.integers(1, 16)))
+        sentences = [rng.integers(0, 5, size=int(rng.integers(1, 16)))
+                     for _ in range(int(rng.integers(1, 5)))]
+        alphas = rng.uniform(0.02, 0.2, size=len(sentences))
+        run_centers = int(rng.integers(1, 12))
         w_in = rng.standard_normal((5, 6)) / 6
         w_out = rng.standard_normal((5, 6)) / 6
         ref_in, ref_out = w_in.copy(), w_out.copy()
-        _, pairs = _train_sentence(ids, w_in, w_out, noise_cum, keep_prob, 3, 4, 0.2,
-                                   np.random.default_rng(trial), expit)
-        ref_pairs = sgns_sentence_sgd(ids, ref_in, ref_out, noise_cum, keep_prob, 3, 4, 0.2,
-                                      np.random.default_rng(trial))
+        loss, pairs = _train_batch(np.concatenate(sentences), np.array([len(s) for s in sentences]),
+                                   alphas, w_in, w_out, noise_cum, keep_prob, 3, 4, run_centers,
+                                   np.random.default_rng(trial), track_loss=True)
+        ref_loss, ref_pairs = sgns_batch_sgd(sentences, alphas.tolist(), ref_in, ref_out,
+                                             noise_cum, keep_prob, 3, 4, run_centers,
+                                             np.random.default_rng(trial))
         assert pairs == ref_pairs
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(w_in, ref_in, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w_out, ref_out, rtol=0, atol=1e-12)
+
+
+def test_long_sentence_temporaries_stay_bounded():
+    # one 50,000-token sentence: the trainer works through it in runs of
+    # centers, so its temporaries stay near the run cap (measured: 4.1 MB);
+    # a trainer that takes the whole sentence at once holds ~1.8 M output
+    # slots at window 5 and negative 5 (measured: 64 MB)
+    corpus = [[f"t{i}" for i in np.random.default_rng(0).integers(0, 50, size=50_000)]]
+    cfg = SgnsConfig(dim=8, epochs=1, negative=5, alpha=0.05, sample=0.0,
+                     window=5, min_count=1, seed=2)
+    tracemalloc.start()
+    try:
+        result = train_sgns_full(corpus, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.epoch_loss[0] < 6 * math.log(2)  # below the loss at all-zero scores
+    assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 def test_graph_to_embedding_chain_deterministic():
