@@ -31,6 +31,7 @@ threshold `sample`, the effective window per center is uniform on
 [1, window], and the learning rate decays linearly from alpha to alpha/10
 over the whole run, one step per sentence.
 """
+
 from __future__ import annotations
 
 import logging
@@ -136,19 +137,14 @@ def _keep_probabilities(counts: np.ndarray, sample: float) -> np.ndarray:
 
 # Output slots (pairs x (negative + 1)) in one run of centers: each slot-sized
 # int64 or float64 temporary of a run stays within 512 KB, however long the
-# sentences are. Twice this raised node2vec-hubs' peak RSS by 4.2 MB over the
-# per-sentence trainer, this by 2.4 MB, at the same speed.
+# sentences are. On node2vec-hubs this raised peak RSS by 2.0 MB over the
+# per-sentence trainer; half of it trained about 5 % slower.
 _RUN_SLOTS = 1 << 16
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """Start offsets of consecutive segments of the given sizes, and the total."""
     return np.concatenate([[0], np.cumsum(counts)])
-
-
-def _run_centers(window: int, negative: int) -> int:
-    """Centers per run; a center has at most 2 * window contexts."""
-    return max(1, _RUN_SLOTS // (2 * window * (negative + 1)))
 
 
 def _train_batch(
@@ -263,8 +259,9 @@ def train_sgns_full(
     offsets = _offsets(lengths)
 
     # batches of whole sentences with at most one run of tokens, unless a
-    # single sentence is longer than that
-    run_centers = _run_centers(cfg.window, cfg.negative)
+    # single sentence is longer than that; a center has at most 2 * window
+    # contexts
+    run_centers = max(1, _RUN_SLOTS // (2 * cfg.window * (cfg.negative + 1)))
     batches = []
     first = 0
     while first < len(lengths):

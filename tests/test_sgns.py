@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from lsimpute import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
@@ -147,12 +146,13 @@ def test_sentence_update_matches_pairwise_oracle():
 
 def test_long_sentence_temporaries_stay_bounded():
     # one 50,000-token sentence: the trainer works through it in runs of
-    # centers, so its temporaries stay near the run cap (measured: 4.1 MB);
+    # centers, so its temporaries stay near the run cap (measured: 3.9 MB);
     # a trainer that takes the whole sentence at once holds ~1.8 M output
     # slots at window 5 and negative 5 (measured: 64 MB)
     corpus = [[f"t{i}" for i in np.random.default_rng(0).integers(0, 50, size=50_000)]]
     cfg = SgnsConfig(dim=8, epochs=1, negative=5, alpha=0.05, sample=0.0,
                      window=5, min_count=1, seed=2)
+    import scipy.special  # noqa: F401  the trainer's first import is no temporary
     tracemalloc.start()
     try:
         result = train_sgns_full(corpus, cfg)
