@@ -233,7 +233,9 @@ def cmd_extract_graph(ns, config) -> None:
     write_graph_tsv(graph, str(nodes_path), str(edges_path))
     print(f"extracted {stats.n_nodes} nodes and {stats.n_edges} edges "
           f"(skipped {tset.skipped} malformed lines, {tset.blank_node_lines} blank-node lines)")
-    write_manifest(out, "extract-graph", resolved, {"dump": dump}, [nodes_path, edges_path], started)
+    write_manifest(out, "extract-graph", resolved, {"dump": dump}, [nodes_path, edges_path],
+                   started, {**dataclasses.asdict(stats), "malformed_lines": tset.skipped,
+                             "blank_node_lines": tset.blank_node_lines})
 
 
 def _train_sgns_with_health(
@@ -268,6 +270,7 @@ def cmd_node2vec(ns, config) -> None:
         write_corpus(walks, ns.walks_out)
         outputs.append(Path(ns.walks_out))
     embeddings, health = _train_sgns_with_health(walks, sgns_cfg)
+    health["isolated_nodes"] = graph.n_nodes - len(sampler.active_nodes)
     emb_path = out / "domain_embeddings.vec"
     write_embeddings(embeddings, str(emb_path))
     outputs.insert(0, emb_path)

@@ -16,7 +16,7 @@ import logging
 import re
 import sys
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -179,23 +179,40 @@ class ExtractionConfig:
             raise ValueError("node_types must be non-empty")
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: == would compare element-wise
 class LabeledGraph:
-    """Undirected simple graph: node IDs with labels, edges as index pairs."""
+    """Undirected simple graph: node IDs with labels, edges as index pairs.
+
+    The constructor takes any collection of (i, j) pairs with i < j; duplicates
+    collapse. It builds the symmetric CSR adjacency once: node v's sorted
+    neighbors are `indices[indptr[v]:indptr[v + 1]]`.
+    """
 
     node_ids: list[str]
     labels: list[str]
-    edges: set[tuple[int, int]]  # (i, j) with i < j, indices into node_ids
+    edges: np.ndarray  # (m, 2) int64 rows (i, j), i < j, unique and sorted; indices into node_ids
+    indptr: np.ndarray = field(init=False, repr=False)   # (n + 1,) int64
+    indices: np.ndarray = field(init=False, repr=False)  # (2m,) int64
 
     def __post_init__(self) -> None:
         n = len(self.node_ids)
         if len(self.labels) != n:
             raise ValueError("node_ids and labels length mismatch")
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop on node index {i}")
-            if not (0 <= i < j < n):
-                raise ValueError(f"edge ({i},{j}) out of range or unordered")
+        pairs = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
+        if bad.size:
+            a, b = i[bad[0]], j[bad[0]]
+            raise ValueError(f"self-loop on node index {a}" if a == b else
+                             f"edge ({a},{b}) out of range or unordered")
+        # key a * n + b sorts as the pair (a, b); sort and drop repeats (np.unique is slower)
+        key = np.sort(i * n + j)
+        key = key[np.diff(key, prepend=-1) > 0]
+        i, j = np.divmod(key, n)
+        self.edges = np.column_stack((i, j))
+        both_ways = np.sort(np.concatenate((key, j * n + i)))  # by (node, neighbor)
+        self.indptr = np.searchsorted(both_ways, np.arange(n + 1) * n)
+        self.indices = both_ways % n
 
     @property
     def n_nodes(self) -> int:
@@ -205,21 +222,8 @@ class LabeledGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        for lst in adj:
-            lst.sort()
-        return adj
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n_nodes
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
 
 def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
@@ -279,21 +283,18 @@ def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
     node_of = np.full(n_terms, -1, dtype=np.int64)
     node_of[kept_ids] = np.arange(len(kept_ids))
     i, j = node_of[link_subj], node_of[link_obj]
-    both = (i >= 0) & (j >= 0)
-    i, j = i[both], j[both]
-    edges = set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    both = (i >= 0) & (j >= 0)  # filtered before stacking: one link-sized copy at a time
+    pairs = np.sort(np.column_stack((i[both], j[both])), axis=1)
     labels = [terms[t] for t in label_of[kept_ids].tolist()]
-    return LabeledGraph([terms[t] for t in kept_ids], labels, edges)
+    return LabeledGraph([terms[t] for t in kept_ids], labels, pairs)
 
 
 def connected_components(g: LabeledGraph) -> list[list[int]]:
     """Components as sorted index lists, ordered by smallest member."""
     from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
 
-    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-    adjacency = sp.csr_array(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(g.n_nodes, g.n_nodes)
-    )
+    adjacency = sp.csr_array((np.ones(len(g.indices)), g.indices, g.indptr),
+                             shape=(g.n_nodes, g.n_nodes))
     _, labels = csgraph.connected_components(adjacency, directed=False)
     components: dict[int, list[int]] = {}
     for node, label in enumerate(labels.tolist()):
@@ -308,19 +309,15 @@ class DegreeStats:
     min_degree: int
     max_degree: int
     mean_degree: float
+    isolated_nodes: int
 
 
 def degree_stats(g: LabeledGraph) -> DegreeStats:
     deg = g.degrees()
-    if not deg:
-        return DegreeStats(0, 0, 0, 0, 0.0)
-    return DegreeStats(
-        n_nodes=g.n_nodes,
-        n_edges=g.n_edges,
-        min_degree=min(deg),
-        max_degree=max(deg),
-        mean_degree=sum(deg) / len(deg),
-    )
+    if not g.n_nodes:
+        return DegreeStats(0, 0, 0, 0, 0.0, 0)
+    return DegreeStats(g.n_nodes, g.n_edges, int(deg.min()), int(deg.max()),
+                       2 * g.n_edges / g.n_nodes, int((deg == 0).sum()))
 
 
 _TSV_BREAK_RE = re.compile(r"[\t\n\r]")
@@ -336,39 +333,32 @@ def write_graph_tsv(g: LabeledGraph, nodes_path: str, edges_path: str) -> None:
         for node_id, label in zip(g.node_ids, g.labels):
             fh.write(f"{node_id}\t{label}\n")
     with open(edges_path, "w", encoding="utf-8") as fh:
-        for i, j in sorted(g.edges):
+        for i, j in g.edges.tolist():
             fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\n")
 
 
+def _tsv_pairs(path: str) -> Iterator[tuple[int, str, str]]:
+    """Line number and both fields of each non-empty line of a two-column TSV file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) == 2:
+                yield lineno, parts[0], parts[1]
+            elif parts != [""]:
+                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
+
+
 def read_graph_tsv(nodes_path: str, edges_path: str) -> LabeledGraph:
-    node_ids: list[str] = []
-    labels: list[str] = []
-    with open(nodes_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{nodes_path}:{lineno}: expected 2 tab-separated fields")
-            node_ids.append(parts[0])
-            labels.append(parts[1])
-    index = {n: i for i, n in enumerate(node_ids)}
-    if len(index) != len(node_ids):
+    nodes = [(node_id, label) for _, node_id, label in _tsv_pairs(nodes_path)]
+    index = {node_id: i for i, (node_id, _) in enumerate(nodes)}
+    if len(index) != len(nodes):
         raise ValueError(f"{nodes_path}: duplicate node IDs")
-    edges: set[tuple[int, int]] = set()
-    with open(edges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{edges_path}:{lineno}: expected 2 tab-separated fields")
-            try:
-                i, j = index[parts[0]], index[parts[1]]
-            except KeyError as exc:
-                raise ValueError(f"{edges_path}:{lineno}: unknown node {exc}") from None
-            if i != j:
-                edges.add((i, j) if i < j else (j, i))
-    return LabeledGraph(node_ids, labels, edges)
+    ends = array("q")
+    for lineno, a, b in _tsv_pairs(edges_path):
+        try:
+            ends.extend((index[a], index[b]))
+        except KeyError as exc:
+            raise ValueError(f"{edges_path}:{lineno}: unknown node {exc}") from None
+    pairs = np.sort(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), axis=1)
+    return LabeledGraph([node_id for node_id, _ in nodes], [label for _, label in nodes],
+                        pairs[pairs[:, 0] != pairs[:, 1]])  # a self-link is dropped

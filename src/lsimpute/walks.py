@@ -44,22 +44,20 @@ class WalkConfig:
 class WalkSampler:
     """Adjacency that second-order steps are drawn from, and the three weights."""
 
-    neighbors: list[np.ndarray]  # sorted neighbor indices per node
+    neighbors: list[np.ndarray]  # sorted neighbor indices per node, views into the CSR
     neighbor_sets: list[set[int]]
     active_nodes: list[int]  # nodes with degree >= 1, walk start points
     weights: tuple[float, float, float]  # (1/p, 1, 1/q): return, common neighbor, farther
 
 
 def build_transition_tables(g: LabeledGraph, cfg: WalkConfig) -> WalkSampler:
-    """The sorted adjacency and neighbor sets; no per-edge table is built."""
+    """Views into the graph's CSR adjacency and neighbor sets; no per-edge table is built."""
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
-    adj = [np.array(nbrs, dtype=np.int64) for nbrs in g.neighbor_lists()]
-
-    isolated = [i for i in range(g.n_nodes) if len(adj[i]) == 0]
-    if isolated:
-        logger.warning("%d isolated nodes excluded from walks", len(isolated))
-    active = [i for i in range(g.n_nodes) if len(adj[i]) > 0]
+    adj = np.split(g.indices, g.indptr[1:-1])
+    active = np.flatnonzero(g.degrees()).tolist()
+    if len(active) < g.n_nodes:
+        logger.warning("%d isolated nodes excluded from walks", g.n_nodes - len(active))
     neighbor_sets = [set(nbrs.tolist()) for nbrs in adj]
     return WalkSampler(adj, neighbor_sets, active, (1.0 / cfg.p, 1.0, 1.0 / cfg.q))
 
@@ -104,7 +102,8 @@ def node_tokens(g: LabeledGraph) -> list[str]:
     When two nodes normalize to the same token, the node with the
     lexicographically smallest ID keeps it; the others get a node-ID suffix
     so they stay distinct in the walk corpus (and never match a vocabulary
-    downstream). Collisions are logged.
+    downstream). Collisions are logged. A final token that is empty or holds
+    whitespace, which no embedding file can hold, raises ValueError naming its node.
     """
     tokens = [normalize_label(label) for label in g.labels]
     owners: dict[str, int] = {}
@@ -114,8 +113,11 @@ def node_tokens(g: LabeledGraph) -> list[str]:
     collisions = 0
     for i, tok in enumerate(tokens):
         if owners[tok] != i:
-            tokens[i] = f"{tok}#{g.node_ids[i]}"
+            tok = tokens[i] = f"{tok}#{g.node_ids[i]}"
             collisions += 1
+        if tok.split() != [tok]:
+            raise ValueError(f"node {g.node_ids[i]!r} (label {g.labels[i]!r}) gives the token "
+                             f"{tok!r}, which is empty or holds whitespace")
     if collisions:
         logger.warning(
             "%d nodes share a normalized label with a smaller-ID node; "

@@ -80,6 +80,15 @@ def transitive_closure_components(n: int, edges: set[tuple[int, int]]) -> list[l
     return components
 
 
+def set_adjacency(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """Sorted neighbor lists of an undirected graph, from one set per node."""
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pairs:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    return [sorted(nbrs) for nbrs in neighbors]
+
+
 def naive_filter(sentences: list[str], terms: set[str]) -> list[str]:
     """Per-sentence scan: keep unless some token (punctuation-stripped,
     lower-cased) equals a term or a term plus 's' or 'es'."""

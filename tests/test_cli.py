@@ -46,6 +46,10 @@ def test_extract_graph_subcommand(fixture_files):
     manifest = json.loads((out / "extract_graph_manifest.json").read_text())
     assert manifest["stage"] == "extract-graph"
     assert "config_hash" in manifest and manifest["inputs"]["dump"]["sha256"]
+    assert manifest["health"] == {
+        "n_nodes": 20, "n_edges": 40, "min_degree": 4, "max_degree": 4, "mean_degree": 4.0,
+        "isolated_nodes": 0, "malformed_lines": 0, "blank_node_lines": 0,
+    }
 
 
 def test_filter_corpus_subcommand(fixture_files):
@@ -164,16 +168,27 @@ def _write_ring_graph(tmp_path, labels):
 
 
 def test_node2vec_manifest_records_sgns_health(tmp_path):
-    assert main(_write_ring_graph(tmp_path, ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"])) == 0
+    args = _write_ring_graph(tmp_path, ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"])
+    with open(tmp_path / "nodes.tsv", "a") as fh:
+        fh.write("n5\tLonely\n")
+    assert main(args) == 0
     manifest = json.loads((tmp_path / "out" / "node2vec_manifest.json").read_text())
     assert len(manifest["health"]["epoch_loss"]) == 3
     assert manifest["health"]["tokens_per_s"] > 0
+    assert manifest["health"]["isolated_nodes"] == 1
 
 
-def test_node2vec_empty_label_fails_without_partial_file(tmp_path, capsys):
-    # an empty label becomes the walk token "", which no embedding file can hold
-    assert main(_write_ring_graph(tmp_path, ["Alpha", "", "Gamma", "Delta"])) == 1
-    assert "token ''" in capsys.readouterr().err
+@pytest.mark.parametrize("label", ["", "Be\u00a0ta"], ids=["empty", "nbsp"])
+def test_node2vec_empty_label_fails_without_partial_file(tmp_path, capsys, monkeypatch, label):
+    # an empty label, or one with a no-break space, gives a walk token that no
+    # embedding file can hold; it must fail before SGNS starts
+    def no_training(*args, **kwargs):
+        raise AssertionError("SGNS ran")
+
+    monkeypatch.setattr("lsimpute.cli.train_sgns_full", no_training)
+    assert main(_write_ring_graph(tmp_path, ["Alpha", label, "Gamma", "Delta"])) == 1
+    err = capsys.readouterr().err
+    assert f"node 'n1' (label {label!r})" in err and "empty or holds whitespace" in err
     assert not (tmp_path / "out" / "domain_embeddings.vec").exists()
 
 
@@ -228,6 +243,8 @@ def test_extract_graph_reports_malformed_and_blank_node_lines(tmp_path, capsys):
     assert code == 0
     assert ("extracted 2 nodes and 1 edges (skipped 1 malformed lines, 2 blank-node lines)"
             in capsys.readouterr().out)
+    health = json.loads((tmp_path / "out" / "extract_graph_manifest.json").read_text())["health"]
+    assert (health["malformed_lines"], health["blank_node_lines"]) == (1, 2)
 
 
 def test_pipeline_reads_paths_from_config(fixture_files):

@@ -17,7 +17,7 @@ from lsimpute import (
 )
 from lsimpute.graph import read_graph_tsv, write_graph_tsv, parse_ntriples_file
 
-from oracles import reference_extraction, transitive_closure_components
+from oracles import reference_extraction, set_adjacency, transitive_closure_components
 
 TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -186,7 +186,7 @@ def test_extract_deterministic():
     cfg = ExtractionConfig({"Descriptor"}, {"Concept"}, LABEL)
     g1 = extract_subgraph(_mesh_like_triples(), cfg)
     g2 = extract_subgraph(_mesh_like_triples(), cfg)
-    assert g1.node_ids == g2.node_ids and g1.edges == g2.edges
+    assert g1.node_ids == g2.node_ids and np.array_equal(g1.edges, g2.edges)
 
 
 def test_extract_edge_count_bounded_by_triples():
@@ -239,7 +239,7 @@ def test_extract_matches_reference_extraction():
         )
         assert g.node_ids == node_ids
         assert g.labels == labels
-        assert {(g.node_ids[i], g.node_ids[j]) for i, j in g.edges} == edges
+        assert {(g.node_ids[i], g.node_ids[j]) for i, j in g.edges.tolist()} == edges
 
 
 def test_config_requires_node_types():
@@ -274,7 +274,7 @@ def test_degree_stats_triangle():
     g = LabeledGraph(["a", "b", "c"], ["a", "b", "c"], {(0, 1), (1, 2), (0, 2)})
     s = degree_stats(g)
     assert (s.min_degree, s.max_degree, s.mean_degree) == (2, 2, 2.0)
-    assert (s.n_nodes, s.n_edges) == (3, 3)
+    assert (s.n_nodes, s.n_edges, s.isolated_nodes) == (3, 3, 0)
 
 
 def test_degree_stats_star():
@@ -288,7 +288,7 @@ def test_graph_tsv_roundtrip(tmp_path):
     back = read_graph_tsv(str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"))
     assert back.node_ids == g.node_ids
     assert back.labels == g.labels
-    assert back.edges == g.edges
+    assert back.edges.tolist() == g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 @pytest.mark.parametrize("label", ["Heart\tAttack", "Lung\nCancer", "Carriage\rReturn"])
@@ -299,6 +299,31 @@ def test_graph_tsv_rejects_label_breaking_its_line(tmp_path, label):
     assert not (tmp_path / "nodes.tsv").exists()
 
 
-def test_graph_rejects_self_loops():
-    with pytest.raises(ValueError, match="self-loop"):
-        LabeledGraph(["a", "b"], ["a", "b"], {(1, 1)})
+@pytest.mark.parametrize("labels, edges, message", [
+    (["a", "b", "c"], {(1, 1)}, "self-loop on node index 1"),
+    (["a", "b", "c"], {(0, 1), (2, 1)}, r"edge \(2,1\) out of range or unordered"),
+    (["a", "b", "c"], [(0, 1), (1, 3)], r"edge \(1,3\) out of range or unordered"),
+    (["a", "b", "c"], np.array([[-1, 2]]), r"edge \(-1,2\) out of range or unordered"),
+    (["a", "b"], set(), "node_ids and labels length mismatch"),
+], ids=["self-loop", "unordered", "index-too-large", "negative-index", "label-count"])
+def test_graph_rejects_bad_edges_and_labels(labels, edges, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledGraph(["a", "b", "c"], labels, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 9),
+    form=st.sampled_from([set, list, np.array]),
+)
+def test_edge_array_and_csr_match_set_oracle(data, n, form):
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    pairs = data.draw(st.lists(pair, max_size=30)) if n > 1 else []
+    pairs += pairs[: len(pairs) // 2]  # duplicates collapse
+    g = LabeledGraph([str(i) for i in range(n)], [str(i) for i in range(n)], form(pairs))
+    assert g.edges.shape == (len(set(pairs)), 2)
+    assert g.edges.tolist() == [list(e) for e in sorted(set(pairs))]
+    oracle = set_adjacency(n, pairs)
+    assert [g.indices[g.indptr[v]:g.indptr[v + 1]].tolist() for v in range(n)] == oracle
+    assert g.degrees().tolist() == [len(nbrs) for nbrs in oracle]

@@ -25,12 +25,12 @@ def _path(n: int) -> LabeledGraph:
 
 
 def _directed_edges(g: LabeledGraph) -> list[tuple[int, int]]:
-    return [e for i, j in sorted(g.edges) for e in ((i, j), (j, i))]
+    return [e for i, j in g.edges.tolist() for e in ((i, j), (j, i))]
 
 
 def _three_case_rule(g: LabeledGraph, t: int, v: int, p: float, q: float) -> np.ndarray:
     """Written out from the node2vec definition, independent of the sampler."""
-    adjacent = {frozenset(e) for e in g.edges}
+    adjacent = {frozenset(e) for e in g.edges.tolist()}
     nbrs = sorted(x for x in range(g.n_nodes) if frozenset((v, x)) in adjacent)
     weights = np.array([
         1.0 / p if x == t else 1.0 if frozenset((t, x)) in adjacent else 1.0 / q
@@ -125,7 +125,7 @@ def test_unbiased_walks_match_uniform_walker():
     edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15}
     g = _graph(n, edges | {(i, i + 1) for i in range(n - 1)})
     cfg = WalkConfig(p=1.0, q=1.0, n_walks=3, walk_length=20, seed=7)
-    adjacency = g.neighbor_lists()
+    adjacency = [sorted(x for t, x in _directed_edges(g) if t == v) for v in range(n)]
     tokens = node_tokens(g)
     expected = []
     for walk_idx in range(cfg.n_walks):
@@ -180,6 +180,13 @@ def test_label_collision_keeps_smallest_node_id():
     assert tokens[1] == "shared-label"          # n1 is the smallest colliding ID
     assert tokens[0] == "shared-label#n2"       # n2 loses the plain token
     assert tokens[2] == "unique"
+
+
+def test_collision_suffix_with_whitespace_node_id_is_rejected():
+    # "n2 b" loses "shared-label" to "n1"; its suffixed token would hold a space
+    g = LabeledGraph(["n2 b", "n1"], ["Shared Label", "shared label"], {(0, 1)})
+    with pytest.raises(ValueError, match="node 'n2 b' .*'shared-label#n2 b'"):
+        node_tokens(g)
 
 
 def test_isolated_nodes_excluded():
