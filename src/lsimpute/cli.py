@@ -350,9 +350,18 @@ def cmd_impute(ns, config) -> None:
     outputs.append(report_path)
     print(f"imputed {len(result.imputed)} vectors in {result.iterations} iterations "
           f"(residual {result.residual:.2e})")
+    blocks = result.block_iterations
+    health = {
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "column_blocks": len(blocks),
+        "block_iterations_min": min(blocks, default=0),
+        "block_iterations_max": max(blocks, default=0),
+        "threads": result.threads,
+    }
     write_manifest(
         out, "impute", values,
-        {"semantic": semantic_path, "domain": domain_path}, outputs, started,
+        {"semantic": semantic_path, "domain": domain_path}, outputs, started, health,
     )
 
 

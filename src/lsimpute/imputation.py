@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ class LsiConfig:
 # Distance rows come in blocks of about this many bytes of float64 (temporaries
 # add twice that), but of at least 32 rows, so that BLAS multiplies matrices:
 # at n = 58,695 (d = 200, 2 cores) knn_mst took 456 s, and 841 s with 2-row blocks.
+# The fixed point iterates column blocks of the same size (at least 8 columns).
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 32
 
@@ -222,11 +224,13 @@ def solve_weights(
 @dataclass
 class ImputationResult:
     imputed: EmbeddingMatrix          # non-anchor domain tokens only
-    iterations: int
+    iterations: int                   # the largest count over the column blocks
     residual: float  # max |W·X − X| over non-anchor rows of the returned X
     converged: bool
     fallback_rows: int
     unreachable_tokens: list[str]
+    block_iterations: list[int]       # one count per column block
+    threads: int                      # threads that solved the blocks; 0 when nothing is imputed
 
 
 def _reachable_from_anchors(weights: WeightMatrix) -> np.ndarray:
@@ -246,6 +250,31 @@ def _reachable_from_anchors(weights: WeightMatrix) -> np.ndarray:
     return reachable[:n]
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_block(
+    w_uu: sp.csr_matrix, w_ua: sp.csr_matrix, x_a: np.ndarray, x: np.ndarray, cfg: LsiConfig
+) -> tuple[np.ndarray, int, float]:
+    """Iterate x <- W_uu·x + W_ua·X_a on one block of columns until the largest
+    change in the block drops below eta; returns the last iterate, the step
+    count and the last change."""
+    pinned = w_ua @ x_a
+    for iterations in range(1, cfg.max_iters + 1):
+        nxt = w_uu @ x
+        nxt += pinned
+        # the old iterate is not needed after this step and serves as scratch
+        change = float(np.abs(np.subtract(x, nxt, out=x), out=x).max())
+        x = nxt
+        if change < cfg.eta:
+            break
+    return x, iterations, change
+
+
 def impute(
     weights: WeightMatrix,
     anchors: AnchorMap,
@@ -256,9 +285,15 @@ def impute(
     """Fixed-point iteration: rows become weighted averages, anchors stay pinned.
 
     Non-anchor rows start at the mean of the anchor semantic vectors and are
-    updated synchronously (all rows from the previous iterate) until the
-    largest per-row max-norm change falls below eta. Anchor semantic vectors
-    are reassigned after every step, so they come out bit-identical.
+    updated synchronously (all rows from the previous iterate). The map acts
+    on each semantic column separately, so the columns are split into blocks
+    of about _BLOCK_BYTES of state each, and every block iterates the reduced
+    system x <- W_uu·x + W_ua·X_a (u: non-anchor rows, a: anchor rows) on its
+    own until its largest change falls below eta. Blocks run on min(blocks,
+    usable cores) threads, inline when that is one; the block width depends
+    only on the number of non-anchor rows, so the output does not depend on
+    the number of cores. Anchor rows are never iterated, so their semantic
+    vectors come out bit-identical.
     """
     n = weights.n
     if len(domain_tokens) != n:
@@ -273,13 +308,12 @@ def impute(
     dom_rows = np.array(anchor_domain, dtype=np.int64)
     anchor_vectors = semantic.vectors[sem_rows]
 
-    reachable = _reachable_from_anchors(weights)
-    non_anchor = np.array(
-        [i for i in range(n) if i not in weights.anchor_rows], dtype=np.int64
-    )
-    unreachable = [i for i in non_anchor if not reachable[i]]
+    is_anchor = np.zeros(n, dtype=bool)
+    is_anchor[dom_rows] = True
+    non_anchor = np.flatnonzero(~is_anchor)
+    unreachable = non_anchor[~_reachable_from_anchors(weights)[non_anchor]]
     unreachable_tokens = [domain_tokens[i] for i in unreachable]
-    if unreachable:
+    if len(unreachable):
         if cfg.unreachable_policy == "error":
             raise ValueError(
                 f"{len(unreachable)} nodes cannot reach any anchor through "
@@ -293,24 +327,58 @@ def impute(
     state[:] = anchor_vectors.mean(axis=0)
     state[dom_rows] = anchor_vectors
 
-    w = weights.matrix
-    iterations, converged, residual = 0, True, 0.0
+    iterations, converged, residual, block_iterations, threads = 0, True, 0.0, [], 0
     if len(non_anchor):
-        for iterations in range(1, cfg.max_iters + 1):
-            nxt = w @ state
-            nxt[dom_rows] = anchor_vectors  # exact, not just numerically stable
-            # anchor rows are equal in both iterates; the old iterate serves as scratch
-            max_change = float(np.abs(np.subtract(state, nxt, out=state), out=state).max())
-            state = nxt
-            if max_change < cfg.eta:
-                break
-        converged = max_change < cfg.eta
-        if not converged:
+        w_u = weights.matrix[non_anchor]
+        w_uu = w_u[:, non_anchor]
+        anchor_rows = np.flatnonzero(is_anchor)
+        w_ua = w_u[:, anchor_rows]
+        width = max(8, _BLOCK_BYTES // (8 * len(non_anchor)))
+        blocks = [slice(c, min(c + width, semantic.dim)) for c in range(0, semantic.dim, width)]
+
+        block_iterations = [0] * len(blocks)
+        last_change = [0.0] * len(blocks)
+        block_residual = [0.0] * len(blocks)
+
+        def solve_blocks(first: int) -> None:
+            # blocks first, first + threads, ...; each writes its own columns of state
+            for b in range(first, len(blocks), threads):
+                cols = blocks[b]
+                x, block_iterations[b], last_change[b] = _solve_block(
+                    w_uu, w_ua, state[anchor_rows, cols], state[non_anchor, cols], cfg
+                )
+                state[non_anchor, cols] = x
+                # each column's sums run in the same order as in one full W·X
+                gap = w_u @ state[:, cols]
+                gap -= x
+                block_residual[b] = float(np.abs(gap, out=gap).max())
+
+        threads = min(len(blocks), _usable_cores())
+        if threads == 1:
+            solve_blocks(0)
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # on first use only
+
+            # scipy's sparse products and numpy's ufuncs release the GIL. The
+            # calling thread solves its own share: each pool thread's malloc arena
+            # keeps about 4 MB of freed iterates (impute-rare-anchors), where the
+            # caller's arena reuses them
+            with ThreadPoolExecutor(threads - 1) as pool:
+                futures = [pool.submit(solve_blocks, t) for t in range(1, threads)]
+                solve_blocks(0)
+                for f in futures:
+                    f.result()
+
+        iterations = max(block_iterations)
+        stuck = [change for change in last_change if not change < cfg.eta]
+        converged = not stuck
+        if stuck:
             logger.warning(
-                "no convergence after %d iterations (last change %.3g)",
-                cfg.max_iters, max_change,
+                "no convergence after %d iterations in %d of %d column blocks "
+                "(largest last change %.3g)",
+                cfg.max_iters, len(stuck), len(blocks), max(stuck),
             )
-        residual = float(np.abs((w @ state)[non_anchor] - state[non_anchor]).max())
+        residual = max(block_residual)
 
     return ImputationResult(
         imputed=EmbeddingMatrix([domain_tokens[i] for i in non_anchor], state[non_anchor]),
@@ -319,6 +387,8 @@ def impute(
         converged=converged,
         fallback_rows=len(weights.fallback_rows),
         unreachable_tokens=unreachable_tokens,
+        block_iterations=block_iterations,
+        threads=threads,
     )
 
 

@@ -121,6 +121,16 @@ def test_impute_writes_report_and_merged(tmp_path):
     assert report["converged"] is True
     merged = read_embeddings(str(merged_path))
     assert len(merged) == 10
+    assert set(report) == {"imputed_tokens", "iterations", "residual", "converged",
+                           "fallback_rows", "unreachable_tokens"}
+    # 4 semantic columns make one column block, solved inline
+    health = json.loads((tmp_path / "impute_manifest.json").read_text())["health"]
+    assert health == {
+        "iterations": report["iterations"], "residual": report["residual"],
+        "column_blocks": 1, "block_iterations_min": report["iterations"],
+        "block_iterations_max": report["iterations"], "threads": 1,
+    }
+    assert health["iterations"] >= 1
 
 
 def test_invalid_config_field_reported(tmp_path):

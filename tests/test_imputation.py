@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -345,6 +347,83 @@ def test_nonconvergence_flagged():
                  LsiConfig(k=1, eta=1e-12, max_iters=3))
     assert not res.converged
     assert res.iterations == 3
+
+
+def _column_blocks(monkeypatch, width: int, n_unknown: int) -> None:
+    monkeypatch.setattr(imputation, "_BLOCK_BYTES", 8 * n_unknown * width)
+
+
+def test_column_blocks_identical_on_one_and_four_cores(monkeypatch):
+    rng = np.random.default_rng(5)
+    domain = random_embedding(60, 5, rng, prefix="d")
+    semantic = EmbeddingMatrix([f"d{i}" for i in range(15)], rng.standard_normal((15, 30)))
+    cfg = LsiConfig(k=4, eta=1e-6)
+    w = solve_weights(domain, knn_mst(domain, cfg.k), set(range(15)))
+    anchors = AnchorMap([(i, i) for i in range(15)])
+    _column_blocks(monkeypatch, 10, 45)  # 30 columns: three blocks
+
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # 3 threads, switched often
+    try:
+        for cores in (1, 4):
+            monkeypatch.setattr(imputation, "_usable_cores", lambda: cores)
+            runs.append(impute(w, anchors, semantic, list(domain.tokens), cfg))
+    finally:
+        sys.setswitchinterval(switch)
+    one, four = runs
+    assert (one.threads, four.threads) == (1, 3)  # one thread per block at most
+    assert len(one.block_iterations) == 3 and one.block_iterations == four.block_iterations
+    assert one.imputed.vectors.tobytes() == four.imputed.vectors.tobytes()
+    assert (one.iterations, one.residual) == (four.iterations, four.residual)
+    assert one.iterations == max(one.block_iterations) and one.converged
+
+    full = np.vstack([semantic.vectors, one.imputed.vectors])
+    assert one.residual == np.abs((w.matrix @ full - full)[15:]).max()
+
+
+def test_column_blocks_stopping_apart_stay_within_bound_of_linear_solve(monkeypatch):
+    # a1 - u1 - ... - u40 - a2 mixes slowly; columns scaled from 1e-3 to 10
+    # converge at different steps, so each block stops on its own
+    m = 40
+    rows = {i: {i - 1: 0.5, i + 1: 0.5} for i in range(1, m + 1)}
+    weights = _weights_from_rows(rows, {0, m + 1}, m + 2)
+    scales = np.logspace(-3, 1, 24)
+    semantic = _emb([scales, -2.0 * scales])
+    anchors = AnchorMap([(0, 0), (1, m + 1)])
+    tokens = ["a1"] + [f"u{i}" for i in range(1, m + 1)] + ["a2"]
+    cfg = LsiConfig(k=1, eta=1e-6, max_iters=100_000)
+    _column_blocks(monkeypatch, 8, m)
+    res = impute(weights, anchors, semantic, tokens, cfg)
+    assert res.converged
+    assert len(res.block_iterations) == 3 and len(set(res.block_iterations)) == 3
+    assert res.iterations == max(res.block_iterations)
+
+    # capped where the first block stops, the other two have not converged
+    fastest = min(res.block_iterations)
+    capped = impute(weights, anchors, semantic, tokens,
+                    LsiConfig(k=1, eta=1e-6, max_iters=fastest))
+    assert not capped.converged and capped.block_iterations == [fastest] * 3
+
+    dense = weights.matrix.toarray()
+    w_uu, w_ua = dense[1:m + 1, 1:m + 1], dense[1:m + 1][:, [0, m + 1]]
+    expected = np.linalg.solve(np.eye(m) - w_uu, w_ua @ semantic.vectors)
+    hitting = np.linalg.solve(np.eye(m) - w_uu, np.ones(m))
+    err = np.abs(res.imputed.vectors - expected).max()
+    assert err <= cfg.eta * hitting.max()
+
+
+def test_nonconvergence_flagged_in_every_column_block(monkeypatch):
+    weights = _weights_from_rows(
+        {1: {0: 0.5, 2: 0.5}, 2: {1: 0.5, 3: 0.5}}, {0, 3}, 4
+    )
+    semantic = _emb([np.ones(20), np.full(20, 100.0)])
+    anchors = AnchorMap([(0, 0), (1, 3)])
+    _column_blocks(monkeypatch, 8, 2)  # 20 columns: three blocks
+    res = impute(weights, anchors, semantic, ["a", "u", "v", "b"],
+                 LsiConfig(k=1, eta=1e-12, max_iters=3))
+    assert not res.converged
+    assert res.iterations == 3 and res.block_iterations == [3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
