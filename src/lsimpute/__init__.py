@@ -51,7 +51,7 @@ from .imputation import (
     solve_weights,
 )
 from .nnls import nnls
-from .sgns import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
+from .sgns import SgnsConfig, train_sgns_full
 from .walks import WalkConfig, WalkSampler, build_transition_tables, generate_walks
 
 __all__ = [
@@ -94,11 +94,9 @@ __all__ = [
     "parse_ntriples",
     "pearson",
     "read_embeddings",
-    "sgns_pair_gradient",
     "solve_weights",
     "split_vocab",
     "tokenize_sentence",
-    "train_sgns",
     "train_sgns_full",
     "write_embeddings",
 ]

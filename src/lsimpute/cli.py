@@ -31,7 +31,6 @@ from .alignment import align_baseline, write_map
 from .corpus import filter_corpus_file
 from .embeddings import (
     EmbeddingFormatError,
-    EmbeddingMatrix,
     merge_embeddings,
     read_embeddings,
     write_embeddings,
@@ -145,11 +144,28 @@ def resolve_section(section: str, config: dict[str, Any], ns) -> dict[str, Any]:
     return resolved
 
 
-def _build(cls, section: str, values: dict[str, Any]):
+# the config class of each stage section, in the order the pipeline's stages
+# build them; evaluate's values are used as they are
+_CONFIG_CLASSES = {"sgns_text": SgnsConfig, "extraction": ExtractionConfig, "walks": WalkConfig,
+                   "sgns_graph": SgnsConfig, "lsi": LsiConfig}
+
+
+def _build(section: str, values: dict[str, Any]):
+    """The section's config object; a value the class rejects is an input error."""
+    if section == "extraction":  # the type sets are lists in JSON
+        values = {**values, "node_types": set(values["node_types"]),
+                  "bridge_types": set(values["bridge_types"])}
     try:
-        return cls(**values)
+        return _CONFIG_CLASSES[section](**values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid {section} configuration: {exc}") from None
+
+
+def _check_evaluate(values: dict[str, Any]) -> None:
+    for key, least in (("resamples", 1), ("seed", 0), ("split_seed", 0)):
+        if values[key] < least:
+            raise InputError(f"invalid evaluate configuration: {key} must be >= {least}, "
+                             f"got {values[key]}")
 
 
 def _sha256(path: Path) -> str:
@@ -220,11 +236,7 @@ def cmd_extract_graph(ns, config) -> None:
     dump = _require_file(ns.dump, "--dump (N-Triples file)")
     out = _out_dir(ns)
     resolved = resolve_section("extraction", config, ns)
-    cfg = _build(ExtractionConfig, "extraction", {
-        **resolved,
-        "node_types": set(resolved["node_types"]),
-        "bridge_types": set(resolved["bridge_types"]),
-    })
+    cfg = _build("extraction", resolved)
     tset = parse_ntriples_file(str(dump))
     graph = extract_subgraph(tset, cfg)
     stats = degree_stats(graph)
@@ -238,20 +250,6 @@ def cmd_extract_graph(ns, config) -> None:
                              "blank_node_lines": tset.blank_node_lines})
 
 
-def _train_sgns_with_health(
-    corpus: list[list[str]], cfg: SgnsConfig
-) -> tuple[EmbeddingMatrix, dict[str, Any]]:
-    """Train SGNS; the health record holds the mean pair loss per epoch and
-    the corpus tokens trained per second."""
-    start = time.perf_counter()
-    result = train_sgns_full(corpus, cfg)
-    tokens = cfg.epochs * sum(map(len, corpus))
-    return result.embeddings, {
-        "epoch_loss": result.epoch_loss,
-        "tokens_per_s": round(tokens / (time.perf_counter() - start), 1),
-    }
-
-
 def cmd_node2vec(ns, config) -> None:
     started = time.time()
     nodes = _require_file(ns.nodes, "--nodes")
@@ -259,8 +257,8 @@ def cmd_node2vec(ns, config) -> None:
     out = _out_dir(ns)
     walk_values = resolve_section("walks", config, ns)
     sgns_values = resolve_section("sgns_graph", config, ns)
-    walk_cfg = _build(WalkConfig, "walks", walk_values)
-    sgns_cfg = _build(SgnsConfig, "sgns_graph", sgns_values)
+    walk_cfg = _build("walks", walk_values)
+    sgns_cfg = _build("sgns_graph", sgns_values)
 
     graph = read_graph_tsv(str(nodes), str(edges))
     sampler = build_transition_tables(graph, walk_cfg)
@@ -269,16 +267,17 @@ def cmd_node2vec(ns, config) -> None:
     if ns.walks_out:
         write_corpus(walks, ns.walks_out)
         outputs.append(Path(ns.walks_out))
-    embeddings, health = _train_sgns_with_health(walks, sgns_cfg)
-    health["isolated_nodes"] = graph.n_nodes - len(sampler.active_nodes)
+    result = train_sgns_full(walks, sgns_cfg)
     emb_path = out / "domain_embeddings.vec"
-    write_embeddings(embeddings, str(emb_path))
+    write_embeddings(result.embeddings, str(emb_path))
     outputs.insert(0, emb_path)
-    print(f"trained {len(embeddings)} node embeddings (dim {embeddings.dim}) "
+    print(f"trained {len(result.embeddings)} node embeddings (dim {result.embeddings.dim}) "
           f"from {len(walks)} walks")
     write_manifest(
         out, "node2vec", {"walks": walk_values, "sgns": sgns_values},
-        {"nodes": nodes, "edges": edges}, outputs, started, health,
+        {"nodes": nodes, "edges": edges}, outputs, started,
+        {"epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s,
+         "isolated_nodes": graph.n_nodes - len(sampler.active_nodes)},
     )
 
 
@@ -287,17 +286,17 @@ def cmd_train_sgns(ns, config) -> None:
     corpus_path = _require_file(ns.corpus, "--corpus")
     out = _out_dir(ns)
     values = resolve_section("sgns_text", config, ns)
-    cfg = _build(SgnsConfig, "sgns_text", values)
+    cfg = _build("sgns_text", values)
     corpus = read_corpus(str(corpus_path))
     if not corpus:
         raise InputError(f"corpus {corpus_path} has no sentences")
-    embeddings, health = _train_sgns_with_health(corpus, cfg)
+    result = train_sgns_full(corpus, cfg)
     emb_path = out / "embeddings.vec"
-    write_embeddings(embeddings, str(emb_path))
-    print(f"trained {len(embeddings)} word embeddings (dim {embeddings.dim}) "
+    write_embeddings(result.embeddings, str(emb_path))
+    print(f"trained {len(result.embeddings)} word embeddings (dim {result.embeddings.dim}) "
           f"on {len(corpus)} sentences")
     write_manifest(out, "train-sgns", values, {"corpus": corpus_path}, [emb_path], started,
-                   health)
+                   {"epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s})
 
 
 def cmd_filter_corpus(ns, config) -> None:
@@ -326,7 +325,7 @@ def cmd_impute(ns, config) -> None:
     domain_path = _require_file(ns.domain, "--domain")
     out = _out_dir(ns)
     values = resolve_section("lsi", config, ns)
-    cfg = _build(LsiConfig, "lsi", values)
+    cfg = _build("lsi", values)
     semantic = read_embeddings(str(semantic_path))
     domain = read_embeddings(str(domain_path))
     result = lsi_pipeline(semantic, domain, cfg)
@@ -395,6 +394,7 @@ def cmd_evaluate(ns, config) -> None:
     dataset_path = _require_file(ns.dataset, "--dataset")
     out = _out_dir(ns)
     values = resolve_section("evaluate", config, ns)
+    _check_evaluate(values)
     embedding = read_embeddings(str(emb_path))
     dataset = load_wordpair_dataset(str(dataset_path))
 
@@ -434,9 +434,12 @@ def cmd_pipeline(ns, config) -> None:
     dump = _require_file(paths["graph_dump"], "graph dump (--dump or paths.graph_dump)")
     corpus = _require_file(paths["corpus"], "corpus (--corpus or paths.corpus)")
     dataset_path = _require_file(paths["dataset"], "dataset (--dataset or paths.dataset)")
-    out = _out_dir(ns)
-    # every section is checked before the first stage starts
+    # every value of every section is checked before the first stage starts
     resolved = {section: resolve_section(section, config, ns) for section in _STAGE_SECTIONS}
+    for section in _CONFIG_CLASSES:
+        _build(section, resolved[section])
+    _check_evaluate(resolved["evaluate"])
+    out = _out_dir(ns)
 
     def run(handler, **changes: str) -> None:
         handler(argparse.Namespace(**{**vars(ns), **changes}), config)

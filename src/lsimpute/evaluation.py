@@ -268,10 +268,7 @@ def _score_subset(
 
 
 def bootstrap_eval(
-    embedding: EmbeddingMatrix,
-    split: PairSplit,
-    n_resamples: int = 1000,
-    seed: int = 0,
+    embedding: EmbeddingMatrix, split: PairSplit, n_resamples: int, seed: int
 ) -> EvalReport:
     """Point Pearson r per subset and score type, plus bootstrap mean and std.
 

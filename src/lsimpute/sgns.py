@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,38 +72,15 @@ class SgnsConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class SgnsResult:
     embeddings: EmbeddingMatrix  # input vectors over the retained vocabulary
     epoch_loss: list[float]      # mean negative log-likelihood per trained pair
-
-
-def sgns_pair_gradient(
-    center: np.ndarray,
-    context: np.ndarray,
-    negatives: np.ndarray,
-    label: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradient of the log-likelihood of one training example.
-
-    The objective is label*log sigma(c.o) + (1-label)*log sigma(-c.o)
-    + sum_i log sigma(-c.n_i). Returns gradients with respect to the center
-    vector, the context vector, and each negative vector (ascent directions;
-    the SGD update adds alpha times these).
-    """
-    from scipy.special import expit  # loaded on first use, not at `import lsimpute`
-
-    center = np.asarray(center, dtype=np.float64)
-    context = np.asarray(context, dtype=np.float64)
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    g_pair = label - expit(center @ context)
-    g_neg = -expit(negatives @ center)  # (k,)
-    grad_center = g_pair * context + g_neg @ negatives
-    grad_context = g_pair * center
-    grad_negatives = g_neg[:, None] * center[None, :]
-    return grad_center, grad_context, grad_negatives
+    tokens_per_s: float          # corpus tokens x epochs over the whole call's wall time
 
 
 def build_vocabulary(corpus: Sequence[list[str]], min_count: int) -> tuple[list[str], np.ndarray]:
@@ -244,14 +222,16 @@ def _train_batch(
 def train_sgns_full(
     corpus: Sequence[list[str]], cfg: SgnsConfig, track_loss: bool = True
 ) -> SgnsResult:
-    """Train and return both the embedding matrix and the per-epoch loss curve."""
+    """Train; returns the embedding matrix, the per-epoch loss curve and the throughput."""
+    start = time.perf_counter()
     tokens, counts = build_vocabulary(corpus, cfg.min_count)
     # the corpus as one id array with sentence lengths; tokens under min_count
     # are dropped, and then sentences left empty
     get = {t: i for i, t in enumerate(tokens)}.get
     lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    corpus_tokens = int(lengths.sum())
     ids = np.fromiter((get(t, -1) for sent in corpus for t in sent),
-                      dtype=np.int64, count=int(lengths.sum()))
+                      dtype=np.int64, count=corpus_tokens)
     known = ids >= 0
     lengths = np.diff(_offsets(known)[_offsets(lengths)])
     ids = ids[known]
@@ -300,9 +280,5 @@ def train_sgns_full(
             epoch_loss.append(loss_sum / max(pair_count, 1))
             logger.debug("epoch %d: mean pair loss %.6f", epoch, epoch_loss[-1])
 
-    return SgnsResult(EmbeddingMatrix(tokens, w_in), epoch_loss)
-
-
-def train_sgns(corpus: Sequence[list[str]], cfg: SgnsConfig) -> EmbeddingMatrix:
-    """Train skip-gram embeddings; returns the input-vector matrix."""
-    return train_sgns_full(corpus, cfg, track_loss=False).embeddings
+    rate = cfg.epochs * corpus_tokens / (time.perf_counter() - start)
+    return SgnsResult(EmbeddingMatrix(tokens, w_in), epoch_loss, round(rate, 1))

@@ -38,6 +38,8 @@ class WalkConfig:
             raise ValueError(f"n_walks must be >= 1, got {self.n_walks}")
         if self.walk_length < 2:
             raise ValueError(f"walk_length must be >= 2, got {self.walk_length}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

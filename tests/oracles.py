@@ -101,19 +101,39 @@ def naive_filter(sentences: list[str], terms: set[str]) -> list[str]:
     return kept
 
 
-def pair_log_likelihood(
-    center: np.ndarray, context: np.ndarray, negatives: np.ndarray, label: float
-) -> float:
-    """Objective whose gradient the trainer exposes, written from the formula."""
+def pair_log_likelihood(center: np.ndarray, context: np.ndarray, negatives: np.ndarray) -> float:
+    """log sigma(c.o) + sum_i log sigma(-c.n_i): the objective of one positive
+    pair and its negatives, written from the formula."""
 
     def log_sigmoid(x: float) -> float:
         return float(-np.logaddexp(0.0, -x))
 
-    value = label * log_sigmoid(float(center @ context))
-    value += (1.0 - label) * log_sigmoid(-float(center @ context))
+    value = log_sigmoid(float(center @ context))
     for neg in np.atleast_2d(negatives):
         value += log_sigmoid(-float(center @ neg))
     return value
+
+
+def sgd_step_by_central_differences(
+    center: np.ndarray, context: np.ndarray, negatives: np.ndarray, alpha: float,
+    h: float = 1e-5,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One SGD ascent step of `pair_log_likelihood`: alpha times its gradient in
+    the center, the context and the negatives, each entry by a central
+    difference at the given values."""
+    vecs = [np.array(center, dtype=np.float64), np.array(context, dtype=np.float64),
+            np.atleast_2d(np.array(negatives, dtype=np.float64))]
+    steps = []
+    for which, base in enumerate(vecs):
+        step = np.empty_like(base)
+        for idx in np.ndindex(base.shape):
+            bumped = [v.copy() for v in vecs]
+            bumped[which][idx] += h
+            up = pair_log_likelihood(*bumped)
+            bumped[which][idx] -= 2 * h
+            step[idx] = alpha * (up - pair_log_likelihood(*bumped)) / (2 * h)
+        steps.append(step)
+    return tuple(steps)
 
 
 def sgns_batch_sgd(

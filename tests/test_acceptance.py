@@ -34,15 +34,20 @@ from lsimpute import (
     nnls,
     pearson,
     read_embeddings,
-    sgns_pair_gradient,
     solve_weights,
-    train_sgns,
+    train_sgns_full,
 )
 from lsimpute.evaluation import WordPair, WordPairDataset
 from lsimpute.graph import parse_ntriples_file
+from lsimpute.sgns import _train_batch
 
 from conftest import make_shared_latent_benchmark, random_embedding
-from oracles import kruskal_mst, naive_filter, pair_log_likelihood, projected_gradient_nnls
+from oracles import (
+    kruskal_mst,
+    naive_filter,
+    projected_gradient_nnls,
+    sgd_step_by_central_differences,
+)
 
 
 def test_criterion_01_nnls_matches_projected_gradient_oracle():
@@ -206,30 +211,31 @@ def test_criterion_06_procrustes_recovery():
 
 
 def test_criterion_07_sgns_gradient_finite_differences():
+    # the trainer on the sentence [0, 1] at window 1, every token kept and the
+    # one negative always token 2: center 0 steps on w_in[0], w_out[1] and
+    # w_out[2], then center 1 on w_in[1], w_out[0] and w_out[2]. Each step must
+    # be alpha times the central-difference gradient at the values before it.
     rng = np.random.default_rng(7007)
-    h = 1e-5
+    noise_cum = np.array([0.0, 0.0, 1.0])
     worst = 0.0
     for _ in range(50):
-        center = rng.uniform(-1, 1, 8)
-        context = rng.uniform(-1, 1, 8)
-        negatives = rng.uniform(-1, 1, (3, 8))
-        label = float(rng.integers(0, 2))
-        grads = sgns_pair_gradient(center, context, negatives, label)
-        vecs = {"center": center, "context": context, "negatives": negatives}
-        for name, grad in zip(vecs, grads):
-            flat = np.asarray(grad).ravel()
-            base = vecs[name]
-            for idx in range(base.size):
-                bumped = {k: v.copy() for k, v in vecs.items()}
-                bumped[name].ravel()[idx] += h
-                up = pair_log_likelihood(bumped["center"], bumped["context"],
-                                         bumped["negatives"], label)
-                bumped[name].ravel()[idx] -= 2 * h
-                down = pair_log_likelihood(bumped["center"], bumped["context"],
-                                           bumped["negatives"], label)
-                numeric = (up - down) / (2 * h)
-                rel = abs(numeric - flat[idx]) / max(abs(numeric), abs(flat[idx]), 1e-8)
-                worst = max(worst, rel)
+        w_in = rng.uniform(-1, 1, (3, 8))
+        w_out = rng.uniform(-1, 1, (3, 8))
+        alpha = float(rng.uniform(0.01, 0.5))
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        for center, context in ((0, 1), (1, 0)):
+            d_center, d_context, d_negative = sgd_step_by_central_differences(
+                ref_in[center], ref_out[context], ref_out[2], alpha)
+            ref_in[center] += d_center
+            ref_out[context] += d_context
+            ref_out[2] += d_negative[0]
+        got_in, got_out = w_in.copy(), w_out.copy()
+        _train_batch(np.array([0, 1]), np.array([2]), np.array([alpha]), got_in, got_out,
+                     noise_cum, np.ones(3), 1, 1, 8, rng)
+        for got, want, before in ((got_in, ref_in, w_in), (got_out, ref_out, w_out)):
+            got, want = got - before, want - before
+            rel = np.abs(got - want) / np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-8)
+            worst = max(worst, float(rel.max()))
     assert worst < 1e-4
     print(f"ACCEPTANCE 7 PASS: analytic gradient vs central differences, "
           f"max relative error {worst:.2e} < 1e-4 on 50 examples")
@@ -255,7 +261,7 @@ def test_criterion_08_node2vec_separates_barbell_cliques():
         walks = generate_walks(build_transition_tables(g, wcfg), g, wcfg)
         scfg = SgnsConfig(dim=16, epochs=5, negative=3, alpha=0.05, sample=0.0,
                           window=3, min_count=1, seed=seed)
-        emb = train_sgns(walks, scfg)
+        emb = train_sgns_full(walks, scfg).embeddings
         vecs = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         cos = vecs @ vecs.T
         idx = {t: i for i, t in enumerate(emb.tokens)}

@@ -154,15 +154,30 @@ def test_bad_paths_section_is_input_error(fixture_files, capsys, paths, named):
      "invalid walks configuration: p and q must be finite and positive, got p=nan"),
     ({"sgns_text": {"sample": float("nan")}},
      "invalid sgns_text configuration: sample must be finite"),
+    # values the stages would reject only when they run
+    ({"extraction": {"node_types": ["ConceptType"]}, "lsi": {"k": 0}},
+     "invalid lsi configuration: k must be >= 1, got 0"),
+    ({"extraction": {"node_types": ["ConceptType"]}, "evaluate": {"resamples": 0}},
+     "invalid evaluate configuration: resamples must be >= 1, got 0"),
+    ({"extraction": {"node_types": ["ConceptType"]}, "walks": {"seed": -1}},
+     "invalid walks configuration: seed must be >= 0, got -1"),
+    ({"extraction": {"node_types": ["ConceptType"]}, "sgns_graph": {"seed": -2}},
+     "invalid sgns_graph configuration: seed must be >= 0, got -2"),
+    ({"extraction": {"node_types": ["ConceptType"]}, "evaluate": {"seed": -1}},
+     "invalid evaluate configuration: seed must be >= 0, got -1"),
+    ({"extraction": {"node_types": ["ConceptType"]}, "evaluate": {"split_seed": -3}},
+     "invalid evaluate configuration: split_seed must be >= 0, got -3"),
 ])
 def test_mistyped_config_field_is_input_error(fixture_files, capsys, sections, named):
     files, tmp_path = fixture_files
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(sections))
+    out = tmp_path / "run"
     assert main(["--config", str(config), "pipeline", "--dump", str(files["dump"]),
                  "--corpus", str(files["corpus"]), "--dataset", str(files["dataset"]),
-                 "--out-dir", str(tmp_path / "run")]) == 1
+                 "--out-dir", str(out)]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()  # every value is checked before the first stage
 
 
 def test_removed_workers_field_is_rejected(tmp_path, capsys):

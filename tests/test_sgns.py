@@ -6,94 +6,43 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lsimpute import SgnsConfig, sgns_pair_gradient, train_sgns, train_sgns_full
+from lsimpute import SgnsConfig, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
 
 from lsimpute.sgns import _keep_probabilities, _noise_cumulative, _train_batch
 
-from oracles import pair_log_likelihood, sgns_batch_sgd
+from oracles import sgd_step_by_central_differences, sgns_batch_sgd
 
 
 def two_cluster_corpus(n_sentences: int = 200) -> list[list[str]]:
     return [["a", "b"] * 10 if i % 2 == 0 else ["x", "y"] * 10 for i in range(n_sentences)]
 
 
-def test_gradient_zero_vectors_closed_form():
-    dim = 6
-    zeros = np.zeros(dim)
-    context = np.arange(1.0, dim + 1)
-    negatives = np.ones((2, dim))
-    for label in (0.0, 1.0):
-        g_center, g_context, g_negs = sgns_pair_gradient(zeros, context, negatives, label)
-        # at zero dot products every sigmoid is 0.5
-        np.testing.assert_allclose(
-            g_center, (label - 0.5) * context + (-0.5) * negatives.sum(axis=0), atol=1e-12
-        )
-        np.testing.assert_allclose(g_context, np.zeros(dim), atol=1e-12)
-        np.testing.assert_allclose(g_negs, np.zeros((2, dim)), atol=1e-12)
-
-
 def test_gradient_matches_finite_differences():
+    # the first center of the sentence [0, 1] at window 1, every token kept and
+    # the one negative always token 2: its steps on w_in[0] and on its context
+    # w_out[1], which the second center leaves alone, are alpha times the
+    # central-difference gradient
     rng = np.random.default_rng(123)
-    h = 1e-5
     worst = 0.0
-    for _ in range(50):
-        center = rng.uniform(-1, 1, 8)
-        context = rng.uniform(-1, 1, 8)
-        negatives = rng.uniform(-1, 1, (3, 8))
-        label = float(rng.integers(0, 2))
-        g_center, g_context, g_negs = sgns_pair_gradient(center, context, negatives, label)
-
-        def fd(vecs, grad):
-            nonlocal worst
-            flat_grad = np.asarray(grad).ravel()
-            base = np.asarray(vecs, dtype=np.float64)
-            for idx in range(base.size):
-                plus, minus = base.copy().ravel(), base.copy().ravel()
-                plus[idx] += h
-                minus[idx] -= h
-                args = {
-                    "center": center, "context": context, "negatives": negatives,
-                }
-                key = [k for k, v in args.items() if v is vecs][0]
-                args_p, args_m = dict(args), dict(args)
-                args_p[key] = plus.reshape(base.shape)
-                args_m[key] = minus.reshape(base.shape)
-                numeric = (
-                    pair_log_likelihood(args_p["center"], args_p["context"], args_p["negatives"], label)
-                    - pair_log_likelihood(args_m["center"], args_m["context"], args_m["negatives"], label)
-                ) / (2 * h)
-                denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
-                worst = max(worst, abs(numeric - flat_grad[idx]) / denom)
-
-        fd(center, g_center)
-        fd(context, g_context)
-        fd(negatives, g_negs)
+    for _ in range(20):
+        w_in = rng.uniform(-1, 1, (3, 8))
+        w_out = rng.uniform(-1, 1, (3, 8))
+        alpha = float(rng.uniform(0.01, 0.5))
+        d_center, d_context, _ = sgd_step_by_central_differences(w_in[0], w_out[1], w_out[2], alpha)
+        got_in, got_out = w_in.copy(), w_out.copy()
+        _train_batch(np.array([0, 1]), np.array([2]), np.array([alpha]), got_in, got_out,
+                     np.array([0.0, 0.0, 1.0]), np.ones(3), 1, 1, 8, rng)
+        for got, want in ((got_in[0] - w_in[0], d_center), (got_out[1] - w_out[1], d_context)):
+            rel = np.abs(got - want) / np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-8)
+            worst = max(worst, float(rel.max()))
     assert worst < 1e-4
-
-
-def test_gradient_sign_flip_symmetry():
-    rng = np.random.default_rng(7)
-    center = rng.uniform(-1, 1, 5)
-    context = rng.uniform(-1, 1, 5)
-    negatives = rng.uniform(-1, 1, (2, 5))
-
-    def sigmoid(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    for c, o in ((center, context), (-center, -context)):
-        g_center, g_context, _ = sgns_pair_gradient(c, o, negatives, 1.0)
-        np.testing.assert_allclose(g_context, (1.0 - sigmoid(c @ o)) * c, atol=1e-12)
-    # flipping both vectors leaves the dot product, and hence the pair factor, unchanged
-    g1 = sgns_pair_gradient(center, context, negatives, 1.0)[1]
-    g2 = sgns_pair_gradient(-center, -context, negatives, 1.0)[1]
-    np.testing.assert_allclose(g2, -g1, atol=1e-12)
 
 
 def test_two_cluster_separation():
     cfg = SgnsConfig(dim=16, epochs=5, negative=5, alpha=0.05, sample=0.0,
                      window=4, min_count=1, seed=3)
-    emb = train_sgns(two_cluster_corpus(), cfg)
+    emb = train_sgns_full(two_cluster_corpus(), cfg).embeddings
     cos_ab = cosine_similarity(emb.row("a"), emb.row("b"))
     cos_ax = cosine_similarity(emb.row("a"), emb.row("x"))
     assert cos_ab > cos_ax
@@ -110,8 +59,8 @@ def test_epoch_loss_non_increasing_first_three():
 def test_training_deterministic_single_threaded():
     cfg = SgnsConfig(dim=8, epochs=2, negative=3, alpha=0.05, sample=1e-2,
                      window=3, min_count=1, seed=5)
-    e1 = train_sgns(two_cluster_corpus(40), cfg)
-    e2 = train_sgns(two_cluster_corpus(40), cfg)
+    e1 = train_sgns_full(two_cluster_corpus(40), cfg).embeddings
+    e2 = train_sgns_full(two_cluster_corpus(40), cfg).embeddings
     assert e1.tokens == e2.tokens
     np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
@@ -174,7 +123,7 @@ def test_graph_to_embedding_chain_deterministic():
     outputs = []
     for _ in range(2):
         walks = generate_walks(build_transition_tables(g, wcfg), g, wcfg)
-        outputs.append(train_sgns(walks, scfg))
+        outputs.append(train_sgns_full(walks, scfg).embeddings)
     assert outputs[0].tokens == outputs[1].tokens
     assert outputs[0].vectors.tobytes() == outputs[1].vectors.tobytes()
 
@@ -187,14 +136,14 @@ def test_paper_style_configs_accepted():
 def test_min_count_filters_vocabulary():
     corpus = [["common", "common", "rare"]] * 3
     cfg = SgnsConfig(dim=4, epochs=1, negative=2, window=2, min_count=5, seed=0)
-    emb = train_sgns(corpus, cfg)
+    emb = train_sgns_full(corpus, cfg).embeddings
     assert emb.tokens == ["common"]
 
 
 def test_empty_vocabulary_raises():
     cfg = SgnsConfig(dim=4, epochs=1, negative=2, window=2, min_count=100, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        train_sgns([["a", "b"]], cfg)
+        train_sgns_full([["a", "b"]], cfg)
 
 
 def test_config_validation():
@@ -208,3 +157,5 @@ def test_config_validation():
         SgnsConfig(alpha=float("inf"))
     with pytest.raises(ValueError):
         SgnsConfig(sample=float("inf"))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SgnsConfig(seed=-1)

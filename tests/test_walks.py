@@ -215,3 +215,5 @@ def test_config_validation():
         WalkConfig(q=float("inf"))
     with pytest.raises(ValueError):
         WalkConfig(p=float("nan"))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        WalkConfig(seed=-1)
