@@ -357,6 +357,8 @@ def cmd_impute(ns, config) -> None:
         "block_iterations_min": min(blocks, default=0),
         "block_iterations_max": max(blocks, default=0),
         "threads": result.threads,
+        "unreachable_nodes": result.unreachable_nodes,
+        "anchor_hops_max": result.anchor_hops_max,
     }
     write_manifest(
         out, "impute", values,

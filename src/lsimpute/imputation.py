@@ -7,7 +7,10 @@ connected. Each non-anchor row is then expressed as a convex combination of
 its graph neighbors (non-negative least squares, normalized to sum 1), and
 those weights drive a fixed-point iteration in the semantic space: anchor
 rows stay pinned to their known semantic vectors while every other row is
-repeatedly replaced by the weighted average of its neighbors. Because rows
+repeatedly replaced by the weighted average of its neighbors. The iteration
+starts from the anchors outward: rows are filled one hop level at a time,
+each from its neighbors one level nearer the anchors, so rows far from any
+anchor start near their solution rather than at the anchor mean. Because rows
 are convex combinations, the iteration is non-expansive and every imputed
 coordinate stays inside the range spanned by the anchors.
 """
@@ -229,25 +232,47 @@ class ImputationResult:
     converged: bool
     fallback_rows: int
     unreachable_tokens: list[str]
+    unreachable_nodes: int            # non-anchor rows with no path to an anchor
+    anchor_hops_max: int              # most hops from a reachable row to an anchor
     block_iterations: list[int]       # one count per column block
     threads: int                      # threads that solved the blocks; 0 when nothing is imputed
 
 
-def _reachable_from_anchors(weights: WeightMatrix) -> np.ndarray:
-    """Nodes with a positive-weight path to some anchor (reverse traversal)."""
+def _anchor_levels(weights: WeightMatrix) -> np.ndarray:
+    """Each row's hop level: 1 for anchors, otherwise 1 + the lowest level among
+    the rows it depends on (W[i, j] > 0); inf when no anchor is reachable."""
     from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
 
     n = weights.n
-    anchors = np.array(list(weights.anchor_rows), dtype=np.int64)
-    # i depends on j when W[i, j] > 0 (only positive weights are stored), so
-    # walk the edges j -> i, starting from a virtual node n joined to every anchor
+    anchors = np.fromiter(weights.anchor_rows, dtype=np.int64)
+    # i depends on j when W[i, j] > 0 (only positive weights are stored), so one
+    # BFS walks the edges j -> i from a virtual node n joined to every anchor
     w = weights.matrix.tocoo()
     tails = np.concatenate([w.col, np.full(len(anchors), n)])
     heads = np.concatenate([w.row, anchors])
     graph = sp.csr_array((np.ones(len(tails)), (tails, heads)), shape=(n + 1, n + 1))
-    reachable = np.zeros(n + 1, dtype=bool)
-    reachable[csgraph.breadth_first_order(graph, n, return_predecessors=False)] = True
-    return reachable[:n]
+    return csgraph.shortest_path(graph, indices=n, unweighted=True)[:n]
+
+
+def _start_levels(
+    w_uu: sp.csr_matrix, level: np.ndarray
+) -> list[tuple[np.ndarray, sp.csr_matrix]]:
+    """Levels 3, 4, ... of the non-anchor rows (level: their hop levels), each
+    as its rows and their weights on the rows one level nearer, scaled to sum 1."""
+    reachable = np.flatnonzero(np.isfinite(level) & (level > 2))
+    order = reachable[np.argsort(level[reachable], kind="stable")]
+    nearer = w_uu.copy()
+    # keeps each row's entries in their order, so a row whose weights already
+    # sum to 1 is summed exactly as in the iteration
+    nearer.data[level[nearer.indices] != np.repeat(level - 1, np.diff(nearer.indptr))] = 0
+    nearer.eliminate_zeros()
+    out = []
+    for rows in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
+        if len(rows):
+            m = nearer[rows]
+            m.data /= np.repeat(np.add.reduceat(m.data, m.indptr[:-1]), np.diff(m.indptr))
+            out.append((rows, m))
+    return out
 
 
 def _usable_cores() -> int:
@@ -258,12 +283,22 @@ def _usable_cores() -> int:
 
 
 def _solve_block(
-    w_uu: sp.csr_matrix, w_ua: sp.csr_matrix, x_a: np.ndarray, x: np.ndarray, cfg: LsiConfig
+    w_uu: sp.csr_matrix, w_ua: sp.csr_matrix, x_a: np.ndarray, x: np.ndarray,
+    level2: tuple[np.ndarray, np.ndarray], deeper: list[tuple[np.ndarray, sp.csr_matrix]],
+    cfg: LsiConfig,
 ) -> tuple[np.ndarray, int, float]:
-    """Iterate x <- W_uu·x + W_ua·X_a on one block of columns until the largest
-    change in the block drops below eta; returns the last iterate, the step
-    count and the last change."""
+    """Start x outward from the anchors, then iterate x <- W_uu·x + W_ua·X_a on
+    one block of columns until the largest change in the block drops below eta;
+    returns the last iterate, the step count and the last change.
+
+    level2 holds the level-2 rows and their W_ua row sums: those rows start at
+    the average of their anchors. deeper holds the later levels (_start_levels)
+    in order. Rows on no level (unreachable) keep the values they came with."""
     pinned = w_ua @ x_a
+    rows, sums = level2
+    x[rows] = pinned[rows] / sums[:, None]
+    for rows, nearer in deeper:
+        x[rows] = nearer @ x
     for iterations in range(1, cfg.max_iters + 1):
         nxt = w_uu @ x
         nxt += pinned
@@ -284,8 +319,14 @@ def impute(
 ) -> ImputationResult:
     """Fixed-point iteration: rows become weighted averages, anchors stay pinned.
 
-    Non-anchor rows start at the mean of the anchor semantic vectors and are
-    updated synchronously (all rows from the previous iterate). The map acts
+    Every row has a hop level (_anchor_levels): anchors 1, and each other row
+    one more than the nearest level among the rows it depends on. The start is
+    built outward from the anchors, one level at a time: each reachable
+    non-anchor row starts at the weighted average, with its weights scaled to
+    sum 1, of its neighbors exactly one level nearer. Rows that reach no anchor
+    (policy anchor-mean) start and stay at the mean of the anchor semantic
+    vectors. All rows are then updated synchronously (all rows from the
+    previous iterate); the fixed point does not depend on the start. The map acts
     on each semantic column separately, so the columns are split into blocks
     of about _BLOCK_BYTES of state each, and every block iterates the reduced
     system x <- W_uu·x + W_ua·X_a (u: non-anchor rows, a: anchor rows) on its
@@ -311,7 +352,8 @@ def impute(
     is_anchor = np.zeros(n, dtype=bool)
     is_anchor[dom_rows] = True
     non_anchor = np.flatnonzero(~is_anchor)
-    unreachable = non_anchor[~_reachable_from_anchors(weights)[non_anchor]]
+    level = _anchor_levels(weights)[non_anchor]
+    unreachable = non_anchor[np.isinf(level)]
     unreachable_tokens = [domain_tokens[i] for i in unreachable]
     if len(unreachable):
         if cfg.unreachable_policy == "error":
@@ -323,9 +365,11 @@ def impute(
             "%d unreachable nodes kept at the anchor mean", len(unreachable)
         )
 
+    # reachable non-anchor rows are filled by the start in each column block
     state = np.empty((n, semantic.dim))
-    state[:] = anchor_vectors.mean(axis=0)
+    state[unreachable] = anchor_vectors.mean(axis=0)
     state[dom_rows] = anchor_vectors
+    anchor_hops_max = int(level[np.isfinite(level)].max(initial=1)) - 1
 
     iterations, converged, residual, block_iterations, threads = 0, True, 0.0, [], 0
     if len(non_anchor):
@@ -333,6 +377,9 @@ def impute(
         w_uu = w_u[:, non_anchor]
         anchor_rows = np.flatnonzero(is_anchor)
         w_ua = w_u[:, anchor_rows]
+        rows2 = np.flatnonzero(level == 2)
+        level2 = (rows2, np.asarray(w_ua[rows2].sum(axis=1)).ravel())
+        deeper = _start_levels(w_uu, level)
         width = max(8, _BLOCK_BYTES // (8 * len(non_anchor)))
         blocks = [slice(c, min(c + width, semantic.dim)) for c in range(0, semantic.dim, width)]
 
@@ -345,7 +392,8 @@ def impute(
             for b in range(first, len(blocks), threads):
                 cols = blocks[b]
                 x, block_iterations[b], last_change[b] = _solve_block(
-                    w_uu, w_ua, state[anchor_rows, cols], state[non_anchor, cols], cfg
+                    w_uu, w_ua, state[anchor_rows, cols], state[non_anchor, cols],
+                    level2, deeper, cfg,
                 )
                 state[non_anchor, cols] = x
                 # each column's sums run in the same order as in one full W·X
@@ -387,6 +435,8 @@ def impute(
         converged=converged,
         fallback_rows=len(weights.fallback_rows),
         unreachable_tokens=unreachable_tokens,
+        unreachable_nodes=len(unreachable),
+        anchor_hops_max=anchor_hops_max,
         block_iterations=block_iterations,
         threads=threads,
     )

@@ -80,6 +80,22 @@ def transitive_closure_components(n: int, edges: set[tuple[int, int]]) -> list[l
     return components
 
 
+def anchor_hop_levels(depends: np.ndarray, anchors: list[int]) -> np.ndarray:
+    """Hop levels by frontier expansion over a dense boolean matrix, where
+    depends[i, j] means row i depends on row j: anchors are level 1, and a row
+    with no level yet joins level l + 1 when it depends on a row of level l.
+    Rows never reached stay inf."""
+    level = np.full(len(depends), np.inf)
+    frontier = np.zeros(len(depends), dtype=bool)
+    frontier[anchors] = True
+    step = 1
+    while frontier.any():
+        level[frontier] = step
+        frontier = depends[:, frontier].any(axis=1) & (level == np.inf)
+        step += 1
+    return level
+
+
 def set_adjacency(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
     """Sorted neighbor lists of an undirected graph, from one set per node."""
     neighbors: list[set[int]] = [set() for _ in range(n)]

@@ -22,7 +22,7 @@ from lsimpute import imputation
 from lsimpute.evaluation import cosine_similarity
 
 from conftest import make_shared_latent_benchmark, random_embedding
-from oracles import kruskal_mst, transitive_closure_components
+from oracles import anchor_hop_levels, kruskal_mst, transitive_closure_components
 
 
 def _emb(vectors) -> EmbeddingMatrix:
@@ -317,24 +317,105 @@ def test_unreachable_error_and_fallback_policies():
     np.testing.assert_allclose(res.imputed.row("u"), [1.0, 1.0], atol=1e-12)
 
 
+def _random_dependencies(rng: np.random.Generator) -> WeightMatrix:
+    # a random sparse dependency graph: 1 to 3 anchors, and every other row
+    # depends on 0 to 2 random rows
+    n = int(rng.integers(2, 40))
+    anchors = set(rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False).tolist())
+    rows = {
+        i: {int(j): 1.0 for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=False)}
+        for i in range(n) if i not in anchors
+    }
+    return _weights_from_rows(rows, anchors, n)
+
+
 def test_reachability_matches_closure_oracle():
     # random sparse dependency graphs: i reaches an anchor when some W[i, j] > 0
     # leads to a node that already reaches one, iterated to a fixed point
     rng = np.random.default_rng(11)
     for _ in range(30):
-        n = int(rng.integers(2, 40))
-        anchors = set(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
-        rows = {
-            i: {int(j): 1.0 for j in rng.choice(n, size=int(rng.integers(0, 3)), replace=False)}
-            for i in range(n) if i not in anchors
-        }
-        dense = (_weights_from_rows(rows, anchors, n).matrix.toarray() > 0)
+        weights = _random_dependencies(rng)
+        n = weights.n
+        dense = weights.matrix.toarray() > 0
         expected = np.zeros(n, dtype=bool)
-        expected[list(anchors)] = True
+        expected[list(weights.anchor_rows)] = True
         for _ in range(n):
             expected |= dense[:, expected].any(axis=1)
-        got = imputation._reachable_from_anchors(_weights_from_rows(rows, anchors, n))
+        got = np.isfinite(imputation._anchor_levels(weights))
         np.testing.assert_array_equal(got, expected)
+
+
+def test_anchor_levels_match_frontier_oracle():
+    rng = np.random.default_rng(12)
+    deepest = 0.0
+    for _ in range(60):
+        weights = _random_dependencies(rng)
+        expected = anchor_hop_levels(weights.matrix.toarray() > 0, sorted(weights.anchor_rows))
+        got = imputation._anchor_levels(weights)
+        np.testing.assert_array_equal(got, expected)
+        deepest = max(deepest, got[np.isfinite(got)].max())
+    assert deepest >= 5  # the graphs reach several levels deep
+
+
+def test_start_is_exact_when_every_row_depends_one_level_nearer():
+    # levels: anchors 0, 1; rows 2, 3; rows 4, 5; rows 6, 7; row 8. Each row
+    # depends only on rows one level nearer, so the start is the fixed point
+    # and the first step changes nothing (eta is the smallest positive float)
+    rows = {
+        2: {0: 0.25, 1: 0.75}, 3: {1: 1.0},
+        4: {2: 0.5, 3: 0.5}, 5: {2: 1.0},
+        6: {4: 0.75, 5: 0.25}, 7: {5: 1.0},
+        8: {6: 0.5, 7: 0.5},
+    }
+    weights = _weights_from_rows(rows, {0, 1}, 9)
+    semantic = _emb([[1.0, -2.0, 0.3], [0.1, 4.0, -1.7]])
+    anchors = AnchorMap([(0, 0), (1, 1)])
+    tokens = [f"t{i}" for i in range(9)]
+    res = impute(weights, anchors, semantic, tokens, LsiConfig(k=1, eta=5e-324))
+    assert res.converged and res.iterations == 1 and res.residual == 0.0
+    assert (res.anchor_hops_max, res.unreachable_nodes) == (4, 0)
+
+    dense = weights.matrix.toarray()
+    expected = np.linalg.solve(np.eye(7) - dense[2:, 2:], dense[2:, :2] @ semantic.vectors)
+    np.testing.assert_allclose(res.imputed.vectors, expected, rtol=0, atol=1e-12)
+
+
+def _plain_iterations_from_anchor_mean(w_uu, w_ua, x_a, eta, max_iters):
+    """Steps of x <- W_uu·x + W_ua·X_a from the anchor mean until the largest
+    change drops below eta, the stop rule of impute."""
+    x = np.tile(x_a.mean(axis=0), (len(w_uu), 1))
+    for step in range(1, max_iters + 1):
+        nxt = w_uu @ x + w_ua @ x_a
+        change = np.abs(nxt - x).max()
+        x = nxt
+        if change < eta:
+            return step
+    raise AssertionError("the plain iteration did not converge")
+
+
+def test_start_outward_from_anchors_beats_the_anchor_mean_on_a_slow_chain():
+    # a1 - u1 - ... - u19 - a2 - u21 - ... - u40: 40 rows on a chain, whose
+    # dead-end half hangs off a2 and mixes slowly, as rare terms far from any
+    # anchor do
+    n = 41
+    rows = {i: {i - 1: 0.5, i + 1: 0.5} for i in range(1, 40) if i != 20}
+    rows[40] = {39: 1.0}
+    weights = _weights_from_rows(rows, {0, 20}, n)
+    semantic = _emb([[1.0, -0.5], [0.0, 2.0]])
+    anchors = AnchorMap([(0, 0), (1, 20)])
+    cfg = LsiConfig(k=1, eta=1e-6, max_iters=100_000)
+    res = impute(weights, anchors, semantic, [f"t{i}" for i in range(n)], cfg)
+    assert res.converged and res.anchor_hops_max == 20
+
+    dense = weights.matrix.toarray()
+    u = [i for i in range(n) if i not in (0, 20)]
+    w_uu, w_ua = dense[u][:, u], dense[u][:, [0, 20]]
+    plain = _plain_iterations_from_anchor_mean(w_uu, w_ua, semantic.vectors, cfg.eta, cfg.max_iters)
+    assert res.iterations < plain
+
+    expected = np.linalg.solve(np.eye(len(u)) - w_uu, w_ua @ semantic.vectors)
+    hitting = np.linalg.solve(np.eye(len(u)) - w_uu, np.ones(len(u)))
+    assert np.abs(res.imputed.vectors - expected).max() <= cfg.eta * hitting.max()
 
 
 def test_nonconvergence_flagged():

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lsimpute
 from lsimpute import nnls
@@ -66,6 +69,34 @@ def test_kkt_conditions_hold():
         # active coordinates need nonnegative gradient, passive ones zero gradient
         assert grad[x == 0].min(initial=np.inf) > -1e-8
         assert np.abs(grad[x > 0]).max(initial=0.0) < 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kkt_conditions_on_small_random_problems(data):
+    # x >= 0, the gradient g = Aᵀ(Ax − b) is >= 0 up to rounding, and x·g = 0
+    # up to rounding: the KKT conditions that make x optimal
+    m = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 6))
+    values = st.floats(-1, 1, allow_nan=False, allow_subnormal=False)
+    A = data.draw(hnp.arrays(np.float64, (m, n), elements=values))
+    b = data.draw(hnp.arrays(np.float64, m, elements=values))
+    x = nnls(A, b)
+    assert (x >= 0).all()
+    g = A.T @ (A @ x - b)
+    scale = max(1.0, float(np.abs(x).max()))
+    tol = 1e-5 * max(1.0, float(np.abs(b).max())) * scale
+    assert g.min() >= -tol
+    assert np.abs(x * g).max() <= tol * scale
+
+
+def test_rank_deficient_problem_reaches_the_optimum():
+    # repeated rows: scipy's Lawson-Hanson stops at about [0, 0.225, 0.307]
+    # here, where the gradient is positive on both positive entries
+    A = np.array([[0.0, 0.5, 0.75], [0.75, 0.75, 0.75], [0.75, 0.75, 0.75], [0.75, 0.75, 0.75]])
+    b = np.array([0.0, 1.0, 0.0, 0.0])
+    np.testing.assert_allclose(nnls(A, b), [4 / 9, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(projected_gradient_nnls(A, b), [4 / 9, 0.0, 0.0], atol=1e-9)
 
 
 def test_input_validation():
