@@ -22,6 +22,7 @@ from .embeddings import (
 )
 from .evaluation import (
     EvalReport,
+    EvaluateConfig,
     PairSplit,
     WordPairDataset,
     bootstrap_eval,
@@ -35,7 +36,6 @@ from .graph import (
     ExtractionConfig,
     LabeledGraph,
     TripleSet,
-    connected_components,
     degree_stats,
     extract_subgraph,
     parse_ntriples,
@@ -58,6 +58,7 @@ __all__ = [
     "AnchorMap",
     "EmbeddingMatrix",
     "EvalReport",
+    "EvaluateConfig",
     "ExtractionConfig",
     "FilterStats",
     "ImputationResult",
@@ -76,7 +77,6 @@ __all__ = [
     "bootstrap_eval",
     "build_transition_tables",
     "classify_pairs",
-    "connected_components",
     "cosine_similarity",
     "degree_stats",
     "extract_subgraph",

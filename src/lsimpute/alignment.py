@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import AnchorMap, EmbeddingMatrix, find_anchors
+from .embeddings import EmbeddingMatrix, find_anchors
 
 logger = logging.getLogger(__name__)
 
@@ -22,9 +22,6 @@ class OrthogonalMap:
     matrix: np.ndarray  # (domain_dim, semantic_dim)
     anchor_count: int
     residual: float     # ||X Q - Y||_F on the fitting anchors
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors) @ self.matrix
 
 
 def fit_alignment(domain_anchors: np.ndarray, semantic_anchors: np.ndarray) -> OrthogonalMap:
@@ -52,13 +49,10 @@ def fit_alignment(domain_anchors: np.ndarray, semantic_anchors: np.ndarray) -> O
 
 
 def align_baseline(
-    semantic: EmbeddingMatrix,
-    domain: EmbeddingMatrix,
-    anchors: AnchorMap | None = None,
+    semantic: EmbeddingMatrix, domain: EmbeddingMatrix
 ) -> tuple[EmbeddingMatrix, OrthogonalMap]:
     """Aligned domain vectors for exactly the domain tokens missing from semantic."""
-    if anchors is None:
-        anchors = find_anchors(semantic, domain)
+    anchors = find_anchors(semantic, domain)
     if len(anchors) == 0:
         raise ValueError("alignment needs at least one anchor pair")
     q = fit_alignment(
@@ -66,7 +60,7 @@ def align_baseline(
         semantic.vectors[anchors.semantic_rows()],
     )
     oov_tokens = [t for t in domain.tokens if t not in semantic]
-    mapped = q.apply(domain.vectors[[domain.row_index(t) for t in oov_tokens]])
+    mapped = domain.vectors[[domain.row_index(t) for t in oov_tokens]] @ q.matrix
     return EmbeddingMatrix(oov_tokens, mapped), q
 
 

@@ -37,6 +37,7 @@ from .embeddings import (
 )
 from .evaluation import (
     DatasetFormatError,
+    EvaluateConfig,
     bootstrap_eval,
     classify_pairs,
     load_wordpair_dataset,
@@ -81,7 +82,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     },
     "sgns_text": _field_defaults(SgnsConfig),
     "lsi": _field_defaults(LsiConfig),
-    "evaluate": {"resamples": 1000, "seed": 0, "split_seed": 1},
+    "evaluate": _field_defaults(EvaluateConfig),
 }
 
 # Flag dests that are not the field name; any other field's flag is --<field>.
@@ -144,10 +145,9 @@ def resolve_section(section: str, config: dict[str, Any], ns) -> dict[str, Any]:
     return resolved
 
 
-# the config class of each stage section, in the order the pipeline's stages
-# build them; evaluate's values are used as they are
+# the config class of each stage section, in the order the pipeline's stages build them
 _CONFIG_CLASSES = {"sgns_text": SgnsConfig, "extraction": ExtractionConfig, "walks": WalkConfig,
-                   "sgns_graph": SgnsConfig, "lsi": LsiConfig}
+                   "sgns_graph": SgnsConfig, "lsi": LsiConfig, "evaluate": EvaluateConfig}
 
 
 def _build(section: str, values: dict[str, Any]):
@@ -159,13 +159,6 @@ def _build(section: str, values: dict[str, Any]):
         return _CONFIG_CLASSES[section](**values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid {section} configuration: {exc}") from None
-
-
-def _check_evaluate(values: dict[str, Any]) -> None:
-    for key, least in (("resamples", 1), ("seed", 0), ("split_seed", 0)):
-        if values[key] < least:
-            raise InputError(f"invalid evaluate configuration: {key} must be >= {least}, "
-                             f"got {values[key]}")
 
 
 def _sha256(path: Path) -> str:
@@ -357,7 +350,7 @@ def cmd_impute(ns, config) -> None:
         "block_iterations_min": min(blocks, default=0),
         "block_iterations_max": max(blocks, default=0),
         "threads": result.threads,
-        "unreachable_nodes": result.unreachable_nodes,
+        "unreachable_nodes": len(result.unreachable_tokens),
         "anchor_hops_max": result.anchor_hops_max,
     }
     write_manifest(
@@ -396,7 +389,7 @@ def cmd_evaluate(ns, config) -> None:
     dataset_path = _require_file(ns.dataset, "--dataset")
     out = _out_dir(ns)
     values = resolve_section("evaluate", config, ns)
-    _check_evaluate(values)
+    cfg = _build("evaluate", values)
     embedding = read_embeddings(str(emb_path))
     dataset = load_wordpair_dataset(str(dataset_path))
 
@@ -408,10 +401,10 @@ def cmd_evaluate(ns, config) -> None:
         inputs["trained_vocab"] = trained_file
         inputs["imputed_vocab"] = imputed_file
     else:
-        trained, imputed = split_vocab(dataset.terms(), values["split_seed"])
+        trained, imputed = split_vocab(dataset.terms(), cfg.split_seed)
 
     split = classify_pairs(dataset, trained, imputed)
-    report = bootstrap_eval(embedding, split, values["resamples"], values["seed"])
+    report = bootstrap_eval(embedding, split, cfg.resamples, cfg.seed)
     report_path = out / "eval_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     print(report.to_table())
@@ -425,22 +418,16 @@ def cmd_evaluate(ns, config) -> None:
         )
 
 
-# the config sections each stage resolves, in pipeline order
-_STAGE_SECTIONS = ("extraction", "walks", "sgns_text", "sgns_graph", "lsi", "evaluate")
-
-
 def cmd_pipeline(ns, config) -> None:
-    """Chain every stage: split, filter, train, extract, embed, impute, evaluate."""
+    """Chain every stage: split, filter, train, extract, embed, impute, align, evaluate."""
     started = time.time()
     paths = resolve_section("paths", config, ns)
     dump = _require_file(paths["graph_dump"], "graph dump (--dump or paths.graph_dump)")
     corpus = _require_file(paths["corpus"], "corpus (--corpus or paths.corpus)")
     dataset_path = _require_file(paths["dataset"], "dataset (--dataset or paths.dataset)")
     # every value of every section is checked before the first stage starts
-    resolved = {section: resolve_section(section, config, ns) for section in _STAGE_SECTIONS}
-    for section in _CONFIG_CLASSES:
-        _build(section, resolved[section])
-    _check_evaluate(resolved["evaluate"])
+    resolved = {section: resolve_section(section, config, ns) for section in _CONFIG_CLASSES}
+    built = {section: _build(section, values) for section, values in resolved.items()}
     out = _out_dir(ns)
 
     def run(handler, **changes: str) -> None:
@@ -448,7 +435,7 @@ def cmd_pipeline(ns, config) -> None:
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
     dataset = load_wordpair_dataset(str(dataset_path))
-    trained, imputed = split_vocab(dataset.terms(), resolved["evaluate"]["split_seed"])
+    trained, imputed = split_vocab(dataset.terms(), built["evaluate"].split_seed)
     trained_path = out / "trained_vocab.txt"
     imputed_path = out / "imputed_vocab.txt"
     trained_path.write_text("\n".join(sorted(trained)) + "\n", encoding="utf-8")
@@ -563,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    _add_config_flags(p, "paths", *_STAGE_SECTIONS)
+    _add_config_flags(p, "paths", *_CONFIG_CLASSES)
     p.add_argument("--walks-out")
     p.add_argument("--merged-out", help="merged embeddings path (default: <out-dir>/merged.vec)")
     p.add_argument("--out-dir", default=".")

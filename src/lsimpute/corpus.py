@@ -9,6 +9,7 @@ does not trigger removal for the term "anemia".
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -95,7 +96,13 @@ def filter_corpus(
 
 
 def filter_corpus_file(in_path: str, out_path: str, terms: set[str]) -> FilterStats:
-    """Streaming variant: line-by-line over possibly gzipped files, order preserved."""
+    """Streaming variant: line-by-line over possibly gzipped files, order preserved.
+
+    An output path naming the input file raises ValueError before either is
+    opened, since opening the output would empty the input.
+    """
+    if os.path.exists(out_path) and os.path.samefile(in_path, out_path):
+        raise ValueError(f"output {out_path} is the input corpus {in_path}")
     stats = FilterStats()
     with open_maybe_gzip(in_path) as src, open_maybe_gzip(out_path, "wt") as dst:
         lines = (line.rstrip("\n") for line in src)

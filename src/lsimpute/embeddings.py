@@ -59,11 +59,6 @@ class EmbeddingMatrix:
     def row(self, token: str) -> np.ndarray:
         return self.vectors[self._index[token]]
 
-    def subset(self, tokens: list[str]) -> "EmbeddingMatrix":
-        """New matrix restricted to `tokens`, in the given order."""
-        idx = [self._index[t] for t in tokens]
-        return EmbeddingMatrix(list(tokens), self.vectors[idx].copy())
-
 
 @dataclass(frozen=True)
 class AnchorMap:
@@ -183,8 +178,5 @@ def merge_embeddings(base: EmbeddingMatrix, imputed: EmbeddingMatrix) -> Embeddi
         logger.info("merge: %d imputed tokens already in base, base rows kept", n_collisions)
     if not extra_tokens:
         return EmbeddingMatrix(list(base.tokens), base.vectors.copy())
-    extra = imputed.subset(extra_tokens)
-    return EmbeddingMatrix(
-        list(base.tokens) + extra_tokens,
-        np.vstack([base.vectors, extra.vectors]),
-    )
+    extra = imputed.vectors[[imputed.row_index(t) for t in extra_tokens]]
+    return EmbeddingMatrix(list(base.tokens) + extra_tokens, np.vstack([base.vectors, extra]))

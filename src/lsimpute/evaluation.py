@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,18 @@ SUBSET_NAMES = ("trained/trained", "imputed/trained", "imputed/imputed")
 
 class DatasetFormatError(ValueError):
     pass
+
+
+@dataclass
+class EvaluateConfig:
+    resamples: int = 1000  # bootstrap resamples per subset
+    seed: int = 0          # bootstrap RNG seed
+    split_seed: int = 1    # seed of the trained/imputed vocabulary split
+
+    def __post_init__(self) -> None:
+        for key, least in (("resamples", 1), ("seed", 0), ("split_seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -184,25 +196,8 @@ class EvalReport:
         )
 
     def to_json(self) -> str:
-        payload = {
-            "subsets": {
-                subset: {
-                    score: {
-                        "r": cell.r,
-                        "boot_mean": cell.boot_mean,
-                        "boot_std": cell.boot_std,
-                        "n": cell.n,
-                        "low_n": cell.low_n,
-                        "degenerate_resamples": cell.degenerate_resamples,
-                        "reason": cell.reason,
-                    }
-                    for score, cell in per_subset.items()
-                }
-                for subset, per_subset in self.scores.items()
-            },
-            "skipped_pairs": self.skipped_pairs,
-            "missing_vector_pairs": self.missing_vector_pairs,
-        }
+        payload = asdict(self)
+        payload["subsets"] = payload.pop("scores")
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_table(self) -> str:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -287,19 +286,6 @@ def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
     pairs = np.sort(np.column_stack((i[both], j[both])), axis=1)
     labels = [terms[t] for t in label_of[kept_ids].tolist()]
     return LabeledGraph([terms[t] for t in kept_ids], labels, pairs)
-
-
-def connected_components(g: LabeledGraph) -> list[list[int]]:
-    """Components as sorted index lists, ordered by smallest member."""
-    from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
-
-    adjacency = sp.csr_array((np.ones(len(g.indices)), g.indices, g.indptr),
-                             shape=(g.n_nodes, g.n_nodes))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    components: dict[int, list[int]] = {}
-    for node, label in enumerate(labels.tolist()):
-        components.setdefault(label, []).append(node)
-    return sorted(components.values(), key=lambda c: c[0])
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,6 @@ class NeighborGraph:
     def knn_edges(self) -> set[tuple[int, int]]:
         return {(min(i, j), max(i, j)) for i, row in enumerate(self.knn.tolist()) for j in row}
 
-    def edges(self) -> set[tuple[int, int]]:
-        return self.mst_edges | self.knn_edges
-
-    def min_degree(self) -> int:
-        return min(len(nbrs) for nbrs in self.neighbors)
-
 
 def _sq_distances(x: np.ndarray, sq: np.ndarray, rows: slice) -> np.ndarray:
     """Exact squared Euclidean distances from x[rows] to every row."""
@@ -175,13 +169,6 @@ class WeightMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def row_entries(self, i: int) -> list[tuple[int, float]]:
-        start, stop = self.matrix.indptr[i], self.matrix.indptr[i + 1]
-        return [
-            (int(j), float(w))
-            for j, w in zip(self.matrix.indices[start:stop], self.matrix.data[start:stop])
-        ]
-
 
 def solve_weights(
     domain: EmbeddingMatrix, graph: NeighborGraph, anchors: set[int]
@@ -231,8 +218,7 @@ class ImputationResult:
     residual: float  # max |W·X − X| over non-anchor rows of the returned X
     converged: bool
     fallback_rows: int
-    unreachable_tokens: list[str]
-    unreachable_nodes: int            # non-anchor rows with no path to an anchor
+    unreachable_tokens: list[str]     # tokens of non-anchor rows with no path to an anchor
     anchor_hops_max: int              # most hops from a reachable row to an anchor
     block_iterations: list[int]       # one count per column block
     threads: int                      # threads that solved the blocks; 0 when nothing is imputed
@@ -435,7 +421,6 @@ def impute(
         converged=converged,
         fallback_rows=len(weights.fallback_rows),
         unreachable_tokens=unreachable_tokens,
-        unreachable_nodes=len(unreachable),
         anchor_hops_max=anchor_hops_max,
         block_iterations=block_iterations,
         threads=threads,

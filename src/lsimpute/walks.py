@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import normalize_label
-from .graph import LabeledGraph
+from .graph import LabeledGraph, open_maybe_gzip
 
 logger = logging.getLogger(__name__)
 
@@ -145,12 +145,12 @@ def generate_walks(s: WalkSampler, g: LabeledGraph, cfg: WalkConfig) -> list[lis
 
 
 def write_corpus(corpus: list[list[str]], path: str) -> None:
-    """One walk or sentence per line, space-separated tokens."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One walk or sentence per line, space-separated tokens; gzipped when path ends in .gz."""
+    with open_maybe_gzip(path, "wt") as fh:
         for sentence in corpus:
             fh.write(" ".join(sentence) + "\n")
 
 
 def read_corpus(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_maybe_gzip(path) as fh:
         return [line.split() for line in fh if line.strip()]

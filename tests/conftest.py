@@ -70,6 +70,12 @@ def random_embedding(n: int, dim: int, rng: np.random.Generator, prefix: str = "
     )
 
 
+def weight_row(w, i: int) -> list[tuple[int, float]]:
+    """(column, weight) pairs of row i of a WeightMatrix, read from its CSR arrays."""
+    lo, hi = w.matrix.indptr[i], w.matrix.indptr[i + 1]
+    return list(zip(w.matrix.indices[lo:hi].tolist(), w.matrix.data[lo:hi].tolist()))
+
+
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gzip
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from lsimpute import EmbeddingMatrix, read_embeddings, write_embeddings
 from lsimpute.cli import main
 from lsimpute.evaluation import load_wordpair_dataset
+from lsimpute.walks import read_corpus
 
 from conftest import RDF_TYPE, RDFS_LABEL, write_pipeline_fixture
 
@@ -63,6 +65,20 @@ def test_filter_corpus_subcommand(fixture_files):
     assert stats["removed_sentences"] > 0
     filtered = (out / "filtered_corpus.txt").read_text()
     assert "term-00" not in filtered and "term-01" not in filtered
+
+
+def test_filter_corpus_refuses_to_overwrite_its_input(fixture_files, capsys):
+    files, tmp_path = fixture_files
+    out = tmp_path / "out"
+    out.mkdir()
+    corpus = out / "filtered_corpus.txt"
+    corpus.write_bytes(files["corpus"].read_bytes())
+    terms = tmp_path / "terms.txt"
+    terms.write_text("term-00\n")
+    assert main(["filter-corpus", "--corpus", str(corpus), "--terms", str(terms),
+                 "--out-dir", str(out)]) == 1
+    assert "is the input corpus" in capsys.readouterr().err
+    assert corpus.read_bytes() == files["corpus"].read_bytes()
 
 
 def test_impute_flag_beats_config_beats_default(tmp_path):
@@ -170,6 +186,19 @@ def test_train_sgns_subcommand(tmp_path):
     assert len(health["epoch_loss"]) == 2 and health["tokens_per_s"] > 0
 
 
+def test_train_sgns_reads_gzipped_corpus(tmp_path):
+    text = "".join(f"a b{i % 3} a c {i % 5}\n" for i in range(40))
+    (tmp_path / "corpus.txt").write_text(text)
+    with gzip.open(tmp_path / "corpus.txt.gz", "wt", encoding="utf-8") as fh:
+        fh.write(text)
+    for name in ("corpus.txt", "corpus.txt.gz"):
+        assert main(["train-sgns", "--corpus", str(tmp_path / name), "--dim", "6",
+                     "--epochs", "2", "--window", "2", "--negative", "2", "--sample", "0",
+                     "--out-dir", str(tmp_path / name.replace(".", "_"))]) == 0
+    plain = (tmp_path / "corpus_txt" / "embeddings.vec").read_bytes()
+    assert (tmp_path / "corpus_txt_gz" / "embeddings.vec").read_bytes() == plain
+
+
 def _write_ring_graph(tmp_path, labels):
     nodes, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
     nodes.write_text("".join(f"n{i}\t{label}\n" for i, label in enumerate(labels)))
@@ -188,6 +217,22 @@ def test_node2vec_manifest_records_sgns_health(tmp_path):
     assert len(manifest["health"]["epoch_loss"]) == 3
     assert manifest["health"]["tokens_per_s"] > 0
     assert manifest["health"]["isolated_nodes"] == 1
+
+
+@pytest.mark.parametrize("name", ["walks.txt", "walks.txt.gz"])
+def test_node2vec_walks_out_holds_every_walk(tmp_path, name):
+    args = _write_ring_graph(tmp_path, ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"])
+    with open(tmp_path / "nodes.tsv", "a") as fh:
+        fh.write("n5\tLonely\n")  # isolated: starts no walk
+    walks_path = tmp_path / name
+    assert main(args + ["--walks-out", str(walks_path)]) == 0
+    assert (walks_path.read_bytes()[:2] == b"\x1f\x8b") == name.endswith(".gz")  # gzip magic
+    walks = read_corpus(str(walks_path))
+    assert len(walks) == 2 * 5  # n_walks x non-isolated nodes
+    assert all(len(walk) == 6 for walk in walks)  # walk_length tokens each
+    assert {tok for walk in walks for tok in walk} == {"alpha", "beta", "gamma", "delta", "epsilon"}
+    manifest = json.loads((tmp_path / "out" / "node2vec_manifest.json").read_text())
+    assert str(walks_path) in manifest["outputs"]
 
 
 @pytest.mark.parametrize("label", ["", "Be\u00a0ta"], ids=["empty", "nbsp"])

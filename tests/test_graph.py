@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from lsimpute import (
     ExtractionConfig,
     LabeledGraph,
-    connected_components,
     degree_stats,
     extract_subgraph,
     parse_ntriples,
 )
 from lsimpute.graph import read_graph_tsv, write_graph_tsv, parse_ntriples_file
 
-from oracles import reference_extraction, set_adjacency, transitive_closure_components
+from oracles import reference_extraction, set_adjacency
 
 TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
@@ -245,29 +244,6 @@ def test_extract_matches_reference_extraction():
 def test_config_requires_node_types():
     with pytest.raises(ValueError, match="non-empty"):
         ExtractionConfig(set())
-
-
-def test_components_path_graph():
-    g = LabeledGraph(["a", "b", "c"], ["a", "b", "c"], {(0, 1), (1, 2)})
-    assert connected_components(g) == [[0, 1, 2]]
-
-
-def test_components_isolated_nodes():
-    g = LabeledGraph(["a", "b"], ["a", "b"], set())
-    assert connected_components(g) == [[0], [1]]
-
-
-def test_components_match_transitive_closure_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(2, 64))
-        edges = set()
-        for _ in range(int(rng.integers(0, 2 * n))):
-            i, j = rng.integers(0, n, size=2)
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-        g = LabeledGraph([str(i) for i in range(n)], [str(i) for i in range(n)], edges)
-        assert connected_components(g) == transitive_closure_components(n, edges)
 
 
 def test_degree_stats_triangle():
