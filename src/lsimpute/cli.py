@@ -2,9 +2,11 @@
 
 Subcommands: extract-graph, node2vec, train-sgns, filter-corpus, impute,
 align-baseline, evaluate, pipeline. Values resolve as: command-line flag
-beats config-file value beats built-in default. Every stage writes a JSON
+beats config-file value beats built-in default. Each command checks its
+config values, input files and output paths before it creates --out-dir, so
+one that exits 1 on any of them writes nothing. On success it writes a JSON
 manifest (inputs with digests, resolved config, config hash, versions,
-timing) next to its artifacts so runs are auditable and reproducible.
+timing) next to its artifacts; a command that exits 1 writes no manifest.
 
 Exit codes: 0 ok, 1 input or configuration error, 2 internal error.
 Log level comes from the LSIMPUTE_LOG_LEVEL environment variable.
@@ -211,124 +213,139 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _out_dir(ns) -> Path:
-    out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _read_terms(path: Path) -> set[str]:
     return {line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()}
 
 
 # ---------------------------------------------------------------------------
+# the stage runner
+
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """What a stage body is given once every check has passed."""
+
+    ns: argparse.Namespace
+    config: dict[str, Any]  # the config file
+    values: dict[str, dict[str, Any]]  # resolved values per config section
+    cfg: dict[str, Any]  # the built config object per section
+    inputs: dict[str, Path]  # checked input files, by manifest name
+    out: Path
+
+
+# what a stage body returns for its manifest: the config record, outputs and health
+StageResult = tuple[dict[str, Any], list[Path], dict[str, Any] | None]
+
+
+def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
+           optional: dict[str, str] | None = None):
+    """Make `body(run) -> StageResult` the handler of stage `name`.
+
+    Every config section, input file (the `optional` ones all or none) and
+    --merged-out or --walks-out directory is checked before --out-dir is
+    created. The manifest is written when the body returns, through the
+    module name `write_manifest`, which perfbench's tracer replaces.
+    """
+    def wrap(body):
+        def handler(ns, config) -> None:
+            started = time.time()
+            values = {section: resolve_section(section, config, ns) for section in sections}
+            # pipeline takes its input paths from flags or the config file's paths section
+            given = {**vars(ns), **{_RENAMES.get(("paths", key), key): path
+                                    for key, path in values.pop("paths", {}).items()}}
+            wanted = {**inputs, **optional} if optional and any(map(given.get, optional)) else inputs
+            found = {key: _require_file(given.get(key), what) for key, what in wanted.items()}
+            cfg = {section: _build(section, v) for section, v in values.items()}
+            out = Path(ns.out_dir)
+            for dest in ("merged_out", "walks_out"):  # outputs that may lie outside --out-dir
+                target = getattr(ns, dest, None)
+                parent = Path(target).parent if target else out
+                if not parent.is_dir() and parent.resolve() != out.resolve():
+                    raise InputError(f"--{dest.replace('_', '-')} directory does not exist: {parent}")
+            out.mkdir(parents=True, exist_ok=True)
+            record, outputs, health = body(Run(ns, config, values, cfg, found, out))
+            write_manifest(out, name, record, found, outputs, started, health)
+        return handler
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # stage handlers
 
-def cmd_extract_graph(ns, config) -> None:
-    started = time.time()
-    dump = _require_file(ns.dump, "--dump (N-Triples file)")
-    out = _out_dir(ns)
-    resolved = resolve_section("extraction", config, ns)
-    cfg = _build("extraction", resolved)
-    tset = parse_ntriples_file(str(dump))
-    graph = extract_subgraph(tset, cfg)
+@_stage("extract-graph", ("extraction",), {"dump": "--dump (N-Triples file)"})
+def cmd_extract_graph(run: Run) -> StageResult:
+    tset = parse_ntriples_file(str(run.inputs["dump"]))
+    graph = extract_subgraph(tset, run.cfg["extraction"])
     stats = degree_stats(graph)
-    nodes_path = out / "nodes.tsv"
-    edges_path = out / "edges.tsv"
+    nodes_path = run.out / "nodes.tsv"
+    edges_path = run.out / "edges.tsv"
     write_graph_tsv(graph, str(nodes_path), str(edges_path))
     print(f"extracted {stats.n_nodes} nodes and {stats.n_edges} edges "
           f"(skipped {tset.skipped} malformed lines, {tset.blank_node_lines} blank-node lines)")
-    write_manifest(out, "extract-graph", resolved, {"dump": dump}, [nodes_path, edges_path],
-                   started, {**dataclasses.asdict(stats), "malformed_lines": tset.skipped,
-                             "blank_node_lines": tset.blank_node_lines})
+    return run.values["extraction"], [nodes_path, edges_path], {
+        **dataclasses.asdict(stats), "malformed_lines": tset.skipped,
+        "blank_node_lines": tset.blank_node_lines}
 
 
-def cmd_node2vec(ns, config) -> None:
-    started = time.time()
-    nodes = _require_file(ns.nodes, "--nodes")
-    edges = _require_file(ns.edges, "--edges")
-    out = _out_dir(ns)
-    walk_values = resolve_section("walks", config, ns)
-    sgns_values = resolve_section("sgns_graph", config, ns)
-    walk_cfg = _build("walks", walk_values)
-    sgns_cfg = _build("sgns_graph", sgns_values)
-
-    graph = read_graph_tsv(str(nodes), str(edges))
-    sampler = build_transition_tables(graph, walk_cfg)
-    walks = generate_walks(sampler, graph, walk_cfg)
+@_stage("node2vec", ("walks", "sgns_graph"), {"nodes": "--nodes", "edges": "--edges"})
+def cmd_node2vec(run: Run) -> StageResult:
+    graph = read_graph_tsv(str(run.inputs["nodes"]), str(run.inputs["edges"]))
+    sampler = build_transition_tables(graph, run.cfg["walks"])
+    walks = generate_walks(sampler, graph, run.cfg["walks"])
     outputs = []
-    if ns.walks_out:
-        write_corpus(walks, ns.walks_out)
-        outputs.append(Path(ns.walks_out))
-    result = train_sgns_full(walks, sgns_cfg)
-    emb_path = out / "domain_embeddings.vec"
+    if run.ns.walks_out:
+        write_corpus(walks, run.ns.walks_out)
+        outputs.append(Path(run.ns.walks_out))
+    result = train_sgns_full(walks, run.cfg["sgns_graph"])
+    emb_path = run.out / "domain_embeddings.vec"
     write_embeddings(result.embeddings, str(emb_path))
-    outputs.insert(0, emb_path)
     print(f"trained {len(result.embeddings)} node embeddings (dim {result.embeddings.dim}) "
           f"from {len(walks)} walks")
-    write_manifest(
-        out, "node2vec", {"walks": walk_values, "sgns": sgns_values},
-        {"nodes": nodes, "edges": edges}, outputs, started,
-        {"epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s,
-         "isolated_nodes": graph.n_nodes - len(sampler.active_nodes)},
-    )
+    record = {"walks": run.values["walks"], "sgns": run.values["sgns_graph"]}
+    return record, [emb_path, *outputs], {
+        "epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s,
+        "isolated_nodes": graph.n_nodes - len(sampler.active_nodes)}
 
 
-def cmd_train_sgns(ns, config) -> None:
-    started = time.time()
-    corpus_path = _require_file(ns.corpus, "--corpus")
-    out = _out_dir(ns)
-    values = resolve_section("sgns_text", config, ns)
-    cfg = _build("sgns_text", values)
-    corpus = read_corpus(str(corpus_path))
+@_stage("train-sgns", ("sgns_text",), {"corpus": "--corpus"})
+def cmd_train_sgns(run: Run) -> StageResult:
+    corpus = read_corpus(str(run.inputs["corpus"]))
     if not corpus:
-        raise InputError(f"corpus {corpus_path} has no sentences")
-    result = train_sgns_full(corpus, cfg)
-    emb_path = out / "embeddings.vec"
+        raise InputError(f"corpus {run.inputs['corpus']} has no sentences")
+    result = train_sgns_full(corpus, run.cfg["sgns_text"])
+    emb_path = run.out / "embeddings.vec"
     write_embeddings(result.embeddings, str(emb_path))
     print(f"trained {len(result.embeddings)} word embeddings (dim {result.embeddings.dim}) "
           f"on {len(corpus)} sentences")
-    write_manifest(out, "train-sgns", values, {"corpus": corpus_path}, [emb_path], started,
-                   {"epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s})
+    return run.values["sgns_text"], [emb_path], {
+        "epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s}
 
 
-def cmd_filter_corpus(ns, config) -> None:
-    started = time.time()
-    corpus = _require_file(ns.corpus, "--corpus")
-    terms_file = _require_file(ns.terms, "--terms")
-    out = _out_dir(ns)
-    terms = _read_terms(terms_file)
+@_stage("filter-corpus", (), {"corpus": "--corpus", "terms": "--terms"})
+def cmd_filter_corpus(run: Run) -> StageResult:
+    terms = _read_terms(run.inputs["terms"])
     if not terms:
-        raise InputError(f"terms file {terms_file} is empty")
-    filtered = out / "filtered_corpus.txt"
-    stats = filter_corpus_file(str(corpus), str(filtered), terms)
-    stats_path = out / "filter_stats.json"
+        raise InputError(f"terms file {run.inputs['terms']} is empty")
+    filtered = run.out / "filtered_corpus.txt"
+    stats = filter_corpus_file(str(run.inputs["corpus"]), str(filtered), terms)
+    stats_path = run.out / "filter_stats.json"
     stats_path.write_text(stats.to_json(), encoding="utf-8")
     print(f"removed {stats.removed} of {stats.total} sentences "
           f"({100 * stats.removal_fraction:.2f}%)")
-    write_manifest(
-        out, "filter-corpus", {"terms_count": len(terms)},
-        {"corpus": corpus, "terms": terms_file}, [filtered, stats_path], started,
-    )
+    return {"terms_count": len(terms)}, [filtered, stats_path], None
 
 
-def cmd_impute(ns, config) -> None:
-    started = time.time()
-    semantic_path = _require_file(ns.semantic, "--semantic")
-    domain_path = _require_file(ns.domain, "--domain")
-    out = _out_dir(ns)
-    values = resolve_section("lsi", config, ns)
-    cfg = _build("lsi", values)
-    semantic = read_embeddings(str(semantic_path))
-    domain = read_embeddings(str(domain_path))
-    result = lsi_pipeline(semantic, domain, cfg)
+@_stage("impute", ("lsi",), {"semantic": "--semantic", "domain": "--domain"})
+def cmd_impute(run: Run) -> StageResult:
+    semantic = read_embeddings(str(run.inputs["semantic"]))
+    domain = read_embeddings(str(run.inputs["domain"]))
+    result = lsi_pipeline(semantic, domain, run.cfg["lsi"])
 
-    imputed_path = out / "imputed.vec"
+    imputed_path = run.out / "imputed.vec"
     write_embeddings(result.imputed, str(imputed_path))
     outputs = [imputed_path]
-    if ns.merged_out:
-        write_embeddings(merge_embeddings(semantic, result.imputed), ns.merged_out)
-        outputs.append(Path(ns.merged_out))
+    if run.ns.merged_out:
+        write_embeddings(merge_embeddings(semantic, result.imputed), run.ns.merged_out)
+        outputs.append(Path(run.ns.merged_out))
     report = {
         "imputed_tokens": len(result.imputed),
         "iterations": result.iterations,
@@ -337,13 +354,13 @@ def cmd_impute(ns, config) -> None:
         "fallback_rows": result.fallback_rows,
         "unreachable_tokens": result.unreachable_tokens,
     }
-    report_path = out / "impute_report.json"
+    report_path = run.out / "impute_report.json"
     report_path.write_text(json.dumps(report, indent=2), encoding="utf-8")
     outputs.append(report_path)
     print(f"imputed {len(result.imputed)} vectors in {result.iterations} iterations "
           f"(residual {result.residual:.2e})")
     blocks = result.block_iterations
-    health = {
+    return run.values["lsi"], outputs, {
         "iterations": result.iterations,
         "residual": result.residual,
         "column_blocks": len(blocks),
@@ -353,62 +370,43 @@ def cmd_impute(ns, config) -> None:
         "unreachable_nodes": len(result.unreachable_tokens),
         "anchor_hops_max": result.anchor_hops_max,
     }
-    write_manifest(
-        out, "impute", values,
-        {"semantic": semantic_path, "domain": domain_path}, outputs, started, health,
-    )
 
 
-def cmd_align_baseline(ns, config) -> None:
-    started = time.time()
-    semantic_path = _require_file(ns.semantic, "--semantic")
-    domain_path = _require_file(ns.domain, "--domain")
-    out = _out_dir(ns)
-    semantic = read_embeddings(str(semantic_path))
-    domain = read_embeddings(str(domain_path))
+@_stage("align-baseline", (), {"semantic": "--semantic", "domain": "--domain"})
+def cmd_align_baseline(run: Run) -> StageResult:
+    semantic = read_embeddings(str(run.inputs["semantic"]))
+    domain = read_embeddings(str(run.inputs["domain"]))
     aligned, qmap = align_baseline(semantic, domain)
-    aligned_path = out / "aligned_oov.vec"
+    aligned_path = run.out / "aligned_oov.vec"
     write_embeddings(aligned, str(aligned_path))
-    map_path = out / "alignment_map.txt"
+    map_path = run.out / "alignment_map.txt"
     write_map(qmap, str(map_path))
     outputs = [aligned_path, map_path]
-    if ns.merged_out:
-        write_embeddings(merge_embeddings(semantic, aligned), ns.merged_out)
-        outputs.append(Path(ns.merged_out))
+    if run.ns.merged_out:
+        write_embeddings(merge_embeddings(semantic, aligned), run.ns.merged_out)
+        outputs.append(Path(run.ns.merged_out))
     print(f"aligned {len(aligned)} out-of-vocabulary vectors "
           f"({qmap.anchor_count} anchors, residual {qmap.residual:.4f})")
-    write_manifest(
-        out, "align-baseline", {},
-        {"semantic": semantic_path, "domain": domain_path}, outputs, started,
-    )
+    return {}, outputs, None
 
 
-def cmd_evaluate(ns, config) -> None:
-    started = time.time()
-    emb_path = _require_file(ns.embeddings, "--embeddings")
-    dataset_path = _require_file(ns.dataset, "--dataset")
-    out = _out_dir(ns)
-    values = resolve_section("evaluate", config, ns)
-    cfg = _build("evaluate", values)
-    embedding = read_embeddings(str(emb_path))
-    dataset = load_wordpair_dataset(str(dataset_path))
-
-    inputs = {"embeddings": emb_path, "dataset": dataset_path}
-    if ns.trained_vocab or ns.imputed_vocab:
-        trained_file = _require_file(ns.trained_vocab, "--trained-vocab")
-        imputed_file = _require_file(ns.imputed_vocab, "--imputed-vocab")
-        trained, imputed = _read_terms(trained_file), _read_terms(imputed_file)
-        inputs["trained_vocab"] = trained_file
-        inputs["imputed_vocab"] = imputed_file
+@_stage("evaluate", ("evaluate",), {"embeddings": "--embeddings", "dataset": "--dataset"},
+        optional={"trained_vocab": "--trained-vocab", "imputed_vocab": "--imputed-vocab"})
+def cmd_evaluate(run: Run) -> StageResult:
+    cfg = run.cfg["evaluate"]
+    embedding = read_embeddings(str(run.inputs["embeddings"]))
+    dataset = load_wordpair_dataset(str(run.inputs["dataset"]))
+    if "trained_vocab" in run.inputs:
+        trained = _read_terms(run.inputs["trained_vocab"])
+        imputed = _read_terms(run.inputs["imputed_vocab"])
     else:
         trained, imputed = split_vocab(dataset.terms(), cfg.split_seed)
 
     split = classify_pairs(dataset, trained, imputed)
     report = bootstrap_eval(embedding, split, cfg.resamples, cfg.seed)
-    report_path = out / "eval_report.json"
+    report_path = run.out / "eval_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     print(report.to_table())
-    write_manifest(out, "evaluate", values, inputs, [report_path], started)
     if not report.evaluable():
         counts = {name: len(records) for name, records in split.subsets.items()}
         raise InputError(
@@ -416,56 +414,49 @@ def cmd_evaluate(ns, config) -> None:
             f"(subset sizes {counts}, skipped {len(split.skipped)}, "
             f"missing vectors {report.missing_vector_pairs})"
         )
+    return run.values["evaluate"], [report_path], None
 
 
-def cmd_pipeline(ns, config) -> None:
+@_stage("pipeline", ("paths", *_CONFIG_CLASSES), {
+    "dump": "graph dump (--dump or paths.graph_dump)",
+    "corpus": "corpus (--corpus or paths.corpus)",
+    "dataset": "dataset (--dataset or paths.dataset)",
+})
+def cmd_pipeline(run: Run) -> StageResult:
     """Chain every stage: split, filter, train, extract, embed, impute, align, evaluate."""
-    started = time.time()
-    paths = resolve_section("paths", config, ns)
-    dump = _require_file(paths["graph_dump"], "graph dump (--dump or paths.graph_dump)")
-    corpus = _require_file(paths["corpus"], "corpus (--corpus or paths.corpus)")
-    dataset_path = _require_file(paths["dataset"], "dataset (--dataset or paths.dataset)")
-    # every value of every section is checked before the first stage starts
-    resolved = {section: resolve_section(section, config, ns) for section in _CONFIG_CLASSES}
-    built = {section: _build(section, values) for section, values in resolved.items()}
-    out = _out_dir(ns)
+    out = run.out
 
-    def run(handler, **changes: str) -> None:
-        handler(argparse.Namespace(**{**vars(ns), **changes}), config)
+    def stage(handler, **changes: str) -> None:
+        handler(argparse.Namespace(**{**vars(run.ns), **changes}), run.config)
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
-    dataset = load_wordpair_dataset(str(dataset_path))
-    trained, imputed = split_vocab(dataset.terms(), built["evaluate"].split_seed)
+    dataset = load_wordpair_dataset(str(run.inputs["dataset"]))
+    trained, imputed = split_vocab(dataset.terms(), run.cfg["evaluate"].split_seed)
     trained_path = out / "trained_vocab.txt"
     imputed_path = out / "imputed_vocab.txt"
     trained_path.write_text("\n".join(sorted(trained)) + "\n", encoding="utf-8")
     imputed_path.write_text("\n".join(sorted(imputed)) + "\n", encoding="utf-8")
 
     # 2. remove sentences mentioning any to-be-imputed term
-    run(cmd_filter_corpus, corpus=str(corpus), terms=str(imputed_path))
+    stage(cmd_filter_corpus, corpus=str(run.inputs["corpus"]), terms=str(imputed_path))
     # 3. semantic embeddings from the filtered corpus
-    run(cmd_train_sgns, corpus=str(out / "filtered_corpus.txt"))
+    stage(cmd_train_sgns, corpus=str(out / "filtered_corpus.txt"))
     semantic_path = str(out / "embeddings.vec")
     # 4 + 5. domain embeddings from the knowledge graph
-    run(cmd_extract_graph, dump=str(dump))
-    run(cmd_node2vec, nodes=str(out / "nodes.tsv"), edges=str(out / "edges.tsv"))
+    stage(cmd_extract_graph, dump=str(run.inputs["dump"]))
+    stage(cmd_node2vec, nodes=str(out / "nodes.tsv"), edges=str(out / "edges.tsv"))
     domain_path = str(out / "domain_embeddings.vec")
     # 6. impute missing vectors and merge into the trained model
-    merged_path = Path(ns.merged_out) if ns.merged_out else out / "merged.vec"
-    run(cmd_impute, semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
+    merged_path = Path(run.ns.merged_out) if run.ns.merged_out else out / "merged.vec"
+    stage(cmd_impute, semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
     # 7. alignment baseline over the same inputs
-    run(cmd_align_baseline, semantic=semantic_path, domain=domain_path,
-        merged_out=str(out / "baseline_merged.vec"))
+    stage(cmd_align_baseline, semantic=semantic_path, domain=domain_path,
+          merged_out=str(out / "baseline_merged.vec"))
     # 8. evaluate the imputed model
-    run(cmd_evaluate, embeddings=str(merged_path), dataset=str(dataset_path),
-        trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
-
-    write_manifest(
-        out, "pipeline", resolved,
-        {"dump": dump, "corpus": corpus, "dataset": dataset_path},
-        [merged_path, out / "eval_report.json"], started,
-    )
-    print(f"pipeline finished in {time.time() - started:.1f}s; artifacts in {out}")
+    stage(cmd_evaluate, embeddings=str(merged_path), dataset=str(run.inputs["dataset"]),
+          trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
+    print(f"pipeline finished; artifacts and manifests in {out}")
+    return run.values, [merged_path, out / "eval_report.json"], None
 
 
 # ---------------------------------------------------------------------------
@@ -499,63 +490,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract-graph", help="N-Triples dump to nodes.tsv/edges.tsv")
-    p.add_argument("--dump", help="N-Triples file, optionally .gz")
-    _add_config_flags(p, "extraction")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_extract_graph)
+    def command(name: str, func, help: str, flags: dict[str, str | None], *sections: str) -> None:
+        p = sub.add_parser(name, help=help)
+        for flag, text in flags.items():
+            p.add_argument(flag, help=text)
+        _add_config_flags(p, *sections)
+        p.add_argument("--out-dir", default=".")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("node2vec", help="graph TSV to node embeddings")
-    p.add_argument("--nodes")
-    p.add_argument("--edges")
-    p.add_argument("--walks-out", help="also write the walk corpus here")
-    _add_config_flags(p, "walks", "sgns_graph")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_node2vec)
-
-    p = sub.add_parser("train-sgns", help="text corpus to word embeddings")
-    p.add_argument("--corpus", help="one sentence per line, space-separated tokens")
-    _add_config_flags(p, "sgns_text")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_train_sgns)
-
-    p = sub.add_parser("filter-corpus", help="drop sentences containing target terms")
-    p.add_argument("--corpus")
-    p.add_argument("--terms", help="file with one normalized term per line")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_filter_corpus)
-
-    p = sub.add_parser("impute", help="impute missing semantic vectors from the domain space")
-    p.add_argument("--semantic", help="embedding file to extend")
-    p.add_argument("--domain", help="embedding file supplying neighborhoods")
-    _add_config_flags(p, "lsi")
-    p.add_argument("--merged-out", help="also write base + imputed merged here")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("align-baseline", help="orthogonal map baseline for OOV vectors")
-    p.add_argument("--semantic")
-    p.add_argument("--domain")
-    p.add_argument("--merged-out")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_align_baseline)
-
-    p = sub.add_parser("evaluate", help="word-pair correlation evaluation")
-    p.add_argument("--embeddings")
-    p.add_argument("--dataset", help="CSV: Term1,Term2,Similarity,Relatedness")
-    p.add_argument("--trained-vocab", help="file of trained terms (with --imputed-vocab)")
-    p.add_argument("--imputed-vocab")
-    _add_config_flags(p, "evaluate")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    _add_config_flags(p, "paths", *_CONFIG_CLASSES)
-    p.add_argument("--walks-out")
-    p.add_argument("--merged-out", help="merged embeddings path (default: <out-dir>/merged.vec)")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_pipeline)
-
+    command("extract-graph", cmd_extract_graph, "N-Triples dump to nodes.tsv/edges.tsv",
+            {"--dump": "N-Triples file, optionally .gz"}, "extraction")
+    command("node2vec", cmd_node2vec, "graph TSV to node embeddings",
+            {"--nodes": None, "--edges": None, "--walks-out": "also write the walk corpus here"},
+            "walks", "sgns_graph")
+    command("train-sgns", cmd_train_sgns, "text corpus to word embeddings",
+            {"--corpus": "one sentence per line, space-separated tokens"}, "sgns_text")
+    command("filter-corpus", cmd_filter_corpus, "drop sentences containing target terms",
+            {"--corpus": None, "--terms": "file with one normalized term per line"})
+    command("impute", cmd_impute, "impute missing semantic vectors from the domain space",
+            {"--semantic": "embedding file to extend",
+             "--domain": "embedding file supplying neighborhoods",
+             "--merged-out": "also write base + imputed merged here"}, "lsi")
+    command("align-baseline", cmd_align_baseline, "orthogonal map baseline for OOV vectors",
+            {"--semantic": None, "--domain": None, "--merged-out": None})
+    command("evaluate", cmd_evaluate, "word-pair correlation evaluation",
+            {"--embeddings": None, "--dataset": "CSV: Term1,Term2,Similarity,Relatedness",
+             "--trained-vocab": "file of trained terms (with --imputed-vocab)",
+             "--imputed-vocab": None}, "evaluate")
+    command("pipeline", cmd_pipeline, "run every stage end to end",
+            {"--walks-out": None,
+             "--merged-out": "merged embeddings path (default: <out-dir>/merged.vec)"},
+            "paths", *_CONFIG_CLASSES)
     return parser
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +102,11 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
             raise EmbeddingFormatError(f"{path}:1: non-integer header fields {header!r}") from None
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(f"{path}:1: invalid header count={count} dim={dim}")
+        # before allocating: a row is a token and dim values, each one byte and a separator
+        st, need = os.fstat(fh.fileno()), count * 2 * (dim + 1)
+        if stat.S_ISREG(st.st_mode) and need > st.st_size:
+            raise EmbeddingFormatError(f"{path}:1: header declares {count} rows of dim {dim}, "
+                                       f"at least {need} bytes, but the file has {st.st_size}")
 
         vectors = np.empty((count, dim), dtype=np.float64)
         row = 0

@@ -33,6 +33,68 @@ def test_missing_input_is_input_error(tmp_path):
     assert code == 1
 
 
+# One bad value per case; {name} is a path from _stage_inputs.
+BAD_RUNS = {
+    "train-sgns --dim 0": (["train-sgns", "--corpus", "{corpus}", "--dim", "0"],
+                           "dim must be >= 1"),
+    "node2vec --p -1": (["node2vec", "--nodes", "{nodes}", "--edges", "{edges}", "--p", "-1"],
+                        "p and q must be finite and positive"),
+    "impute --k 0": (["impute", "--semantic", "{semantic}", "--domain", "{domain}", "--k", "0"],
+                     "k must be >= 1"),
+    "extract-graph node_types []": (["--config", "{no_types}", "extract-graph", "--dump", "{dump}"],
+                                    "node_types must be non-empty"),
+    "filter-corpus missing --terms": (["filter-corpus", "--corpus", "{corpus}",
+                                       "--terms", "{absent}"], "--terms not found"),
+    "align-baseline missing --domain": (["align-baseline", "--semantic", "{semantic}",
+                                         "--domain", "{absent}"], "--domain not found"),
+    "evaluate --trained-vocab alone": (["evaluate", "--embeddings", "{semantic}",
+                                        "--dataset", "{dataset}", "--trained-vocab", "{terms}"],
+                                       "missing required input: --imputed-vocab"),
+    "impute --merged-out": (["impute", "--semantic", "{semantic}", "--domain", "{domain}",
+                             "--merged-out", "{nodir}/merged.vec"], "--merged-out directory"),
+    "align-baseline --merged-out": (["align-baseline", "--semantic", "{semantic}",
+                                     "--domain", "{domain}", "--merged-out", "{nodir}/m.vec"],
+                                    "--merged-out directory"),
+    "node2vec --walks-out": (["node2vec", "--nodes", "{nodes}", "--edges", "{edges}",
+                              "--walks-out", "{nodir}/walks.txt"], "--walks-out directory"),
+    # pipeline runs three or four stages before it writes either file
+    "pipeline --merged-out": (["--config", "{config}", "pipeline", "--dump", "{dump}",
+                               "--corpus", "{corpus}", "--dataset", "{dataset}",
+                               "--merged-out", "{nodir}/merged.vec"], "--merged-out directory"),
+    "pipeline --walks-out": (["--config", "{config}", "pipeline", "--dump", "{dump}",
+                              "--corpus", "{corpus}", "--dataset", "{dataset}",
+                              "--walks-out", "{nodir}/walks.txt"], "--walks-out directory"),
+}
+
+
+def _stage_inputs(tmp_path) -> dict[str, str]:
+    """A valid file for every {name} in BAD_RUNS, plus a missing file and a missing directory."""
+    paths = write_pipeline_fixture(tmp_path)
+    _write_ring_graph(tmp_path, ["Alpha", "Beta", "Gamma", "Delta"])
+    rng = np.random.default_rng(8)
+    tokens = [f"t{i}" for i in range(8)]
+    _write_embeddings(tmp_path / "domain.vec", tokens, rng.standard_normal((8, 3)))
+    _write_embeddings(tmp_path / "semantic.vec", tokens[:5], rng.standard_normal((5, 3)))
+    (tmp_path / "terms.txt").write_text("term-00\n")
+    (tmp_path / "no_types.json").write_text(json.dumps({"extraction": {"node_types": []}}))
+    for name in ("nodes.tsv", "edges.tsv", "domain.vec", "semantic.vec", "terms.txt",
+                 "no_types.json"):
+        paths[name.split(".")[0]] = tmp_path / name
+    paths.update(absent=tmp_path / "absent.txt", nodir=tmp_path / "nodir")
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("case", BAD_RUNS)
+def test_bad_value_exits_before_out_dir_is_created(tmp_path, capsys, case):
+    argv, named = BAD_RUNS[case]
+    paths = _stage_inputs(tmp_path)
+    out = tmp_path / "new_out"
+    assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_extract_graph_subcommand(fixture_files):
     files, tmp_path = fixture_files
     out = tmp_path / "graph_out"
@@ -162,6 +224,16 @@ def test_invalid_config_field_reported(tmp_path):
     assert code == 1
 
 
+def test_impossible_embedding_header_is_input_error(tmp_path, capsys):
+    # numpy would be asked for 1.46 TiB before the first row is read
+    semantic = tmp_path / "semantic.vec"
+    semantic.write_text("1000000000 200\na 1\n")
+    _write_embeddings(tmp_path / "domain.vec", ["a", "b"], [[1.0], [2.0]])
+    assert main(["impute", "--semantic", str(semantic), "--domain", str(tmp_path / "domain.vec"),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{semantic}:1: header declares 1000000000 rows" in capsys.readouterr().err
+
+
 def test_align_baseline_subcommand(tmp_path):
     rng = np.random.default_rng(4)
     domain_tokens = [f"t{i}" for i in range(10)]
@@ -219,7 +291,7 @@ def test_node2vec_manifest_records_sgns_health(tmp_path):
     assert manifest["health"]["isolated_nodes"] == 1
 
 
-@pytest.mark.parametrize("name", ["walks.txt", "walks.txt.gz"])
+@pytest.mark.parametrize("name", ["walks.txt", "walks.txt.gz", "out/walks.txt"])
 def test_node2vec_walks_out_holds_every_walk(tmp_path, name):
     args = _write_ring_graph(tmp_path, ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"])
     with open(tmp_path / "nodes.tsv", "a") as fh:
@@ -259,6 +331,9 @@ def test_evaluate_no_embeddable_pairs_fails_with_counts(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "subset sizes" in err
+    # the report says what went wrong; a manifest is written only on exit 0
+    assert (tmp_path / "eval_report.json").exists()
+    assert not (tmp_path / "evaluate_manifest.json").exists()
 
 
 @pytest.mark.parametrize("resamples, code", [("1", 0), ("0", 1), ("-3", 1)])
@@ -272,6 +347,7 @@ def test_evaluate_needs_one_resample(fixture_files, capsys, resamples, code):
                  "--out-dir", str(tmp_path / "eval")]) == code
     if code:
         assert "resamples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 def test_extract_graph_rejects_label_with_tab_or_newline(tmp_path, capsys):

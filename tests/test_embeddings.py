@@ -56,6 +56,16 @@ def test_read_row_count_mismatch(tmp_path):
         read_embeddings(str(p))
 
 
+@pytest.mark.parametrize("header", ["1000000000 200", "1 1000000000"])
+def test_read_rejects_header_the_file_cannot_hold(tmp_path, header):
+    # every row takes at least 2 * (dim + 1) bytes; the check comes before the
+    # (count, dim) array is allocated, 1.46 TiB and 7.45 GiB here
+    p = tmp_path / "emb.vec"
+    p.write_text(header + "\na 1\n")
+    with pytest.raises(EmbeddingFormatError, match=r"emb\.vec:1: header declares"):
+        read_embeddings(str(p))
+
+
 def test_write_simple(tmp_path):
     p = tmp_path / "emb.vec"
     write_embeddings(EmbeddingMatrix(["a"], np.array([[1.0, 0.0]])), str(p))
