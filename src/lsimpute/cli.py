@@ -115,7 +115,8 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
 
 
 def _json_types(default: Any) -> tuple[type, ...]:
-    """JSON value types a field accepts: its default's, ints for floats, strings or null for paths."""
+    """JSON value types a field accepts: its default's (lists of strings), ints for floats,
+    strings or null for paths."""
     if default is None:
         return (str, type(None))
     return (int, float) if isinstance(default, float) else (type(default),)
@@ -133,8 +134,8 @@ def resolve_section(section: str, config: dict[str, Any], ns) -> dict[str, Any]:
             problems.append(f"{section}.{key}: unknown field")
         elif not isinstance(value, kinds := _json_types(resolved[key])) or (
             isinstance(value, bool) and bool not in kinds  # JSON true is not a number
-        ):
-            names = " or ".join(kind.__name__ for kind in kinds)
+        ) or (isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+            names = " or ".join(kind.__name__ for kind in kinds) + " of str" * (list in kinds)
             problems.append(f"{section}.{key}: expected {names}, got {value!r}")
         else:
             resolved[key] = value
@@ -242,7 +243,8 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
 
     Every config section, input file (the `optional` ones all or none) and
     --merged-out or --walks-out directory is checked before --out-dir is
-    created. The manifest is written when the body returns, through the
+    created; if the body fails, a --out-dir it created and left empty is
+    removed. The manifest is written when the body returns, through the
     module name `write_manifest`, which perfbench's tracer replaces.
     """
     def wrap(body):
@@ -261,8 +263,14 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
                 parent = Path(target).parent if target else out
                 if not parent.is_dir() and parent.resolve() != out.resolve():
                     raise InputError(f"--{dest.replace('_', '-')} directory does not exist: {parent}")
+            created = not out.exists()
             out.mkdir(parents=True, exist_ok=True)
-            record, outputs, health = body(Run(ns, config, values, cfg, found, out))
+            try:
+                record, outputs, health = body(Run(ns, config, values, cfg, found, out))
+            except BaseException:
+                if created and not any(out.iterdir()):  # the body failed before writing a file
+                    out.rmdir()
+                raise
             write_manifest(out, name, record, found, outputs, started, health)
         return handler
     return wrap

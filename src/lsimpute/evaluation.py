@@ -162,13 +162,12 @@ def pearson(xs: np.ndarray, ys: np.ndarray) -> float:
         raise ValueError("pearson needs two equal-length 1-d arrays")
     if len(xs) < 2:
         raise ValueError(f"pearson needs at least 2 points, got {len(xs)}")
+    # a constant input whose mean rounds leaves a centred sum of squares above 0
+    if xs.min() == xs.max() or ys.min() == ys.max():
+        raise ValueError("pearson is undefined for constant input")
     dx = xs - xs.mean()
     dy = ys - ys.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
-    if sx == 0 or sy == 0:
-        raise ValueError("pearson is undefined for constant input")
-    return float(dx @ dy / np.sqrt(sx * sy))
+    return float(dx @ dy / np.sqrt(float(dx @ dx) * float(dy @ dy)))
 
 
 @dataclass

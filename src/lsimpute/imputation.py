@@ -241,15 +241,15 @@ def _anchor_levels(weights: WeightMatrix) -> np.ndarray:
 
 
 def _start_levels(
-    w_uu: sp.csr_matrix, level: np.ndarray
+    w: sp.csr_matrix, level: np.ndarray
 ) -> list[tuple[np.ndarray, sp.csr_matrix]]:
-    """Levels 3, 4, ... of the non-anchor rows (level: their hop levels), each
-    as its rows and their weights on the rows one level nearer, scaled to sum 1."""
-    reachable = np.flatnonzero(np.isfinite(level) & (level > 2))
+    """Levels 2, 3, ... (level: every row's hop level, anchors 1), each as its
+    rows and their weights on the rows exactly one level nearer, scaled to sum 1."""
+    reachable = np.flatnonzero(np.isfinite(level) & (level > 1))
     order = reachable[np.argsort(level[reachable], kind="stable")]
-    nearer = w_uu.copy()
+    nearer = w.copy()
     # keeps each row's entries in their order, so a row whose weights already
-    # sum to 1 is summed exactly as in the iteration
+    # sum to 1 is summed exactly as in one full W·X
     nearer.data[level[nearer.indices] != np.repeat(level - 1, np.diff(nearer.indptr))] = 0
     nearer.eliminate_zeros()
     out = []
@@ -269,22 +269,11 @@ def _usable_cores() -> int:
 
 
 def _solve_block(
-    w_uu: sp.csr_matrix, w_ua: sp.csr_matrix, x_a: np.ndarray, x: np.ndarray,
-    level2: tuple[np.ndarray, np.ndarray], deeper: list[tuple[np.ndarray, sp.csr_matrix]],
-    cfg: LsiConfig,
+    w_uu: sp.csr_matrix, pinned: np.ndarray, x: np.ndarray, cfg: LsiConfig
 ) -> tuple[np.ndarray, int, float]:
-    """Start x outward from the anchors, then iterate x <- W_uu·x + W_ua·X_a on
-    one block of columns until the largest change in the block drops below eta;
-    returns the last iterate, the step count and the last change.
-
-    level2 holds the level-2 rows and their W_ua row sums: those rows start at
-    the average of their anchors. deeper holds the later levels (_start_levels)
-    in order. Rows on no level (unreachable) keep the values they came with."""
-    pinned = w_ua @ x_a
-    rows, sums = level2
-    x[rows] = pinned[rows] / sums[:, None]
-    for rows, nearer in deeper:
-        x[rows] = nearer @ x
+    """Iterate x <- W_uu·x + pinned on one block of columns until the largest
+    change drops below eta; returns the last iterate, the step count and the
+    last change."""
     for iterations in range(1, cfg.max_iters + 1):
         nxt = w_uu @ x
         nxt += pinned
@@ -306,21 +295,21 @@ def impute(
     """Fixed-point iteration: rows become weighted averages, anchors stay pinned.
 
     Every row has a hop level (_anchor_levels): anchors 1, and each other row
-    one more than the nearest level among the rows it depends on. The start is
-    built outward from the anchors, one level at a time: each reachable
-    non-anchor row starts at the weighted average, with its weights scaled to
-    sum 1, of its neighbors exactly one level nearer. Rows that reach no anchor
-    (policy anchor-mean) start and stay at the mean of the anchor semantic
-    vectors. All rows are then updated synchronously (all rows from the
-    previous iterate); the fixed point does not depend on the start. The map acts
-    on each semantic column separately, so the columns are split into blocks
-    of about _BLOCK_BYTES of state each, and every block iterates the reduced
-    system x <- W_uu·x + W_ua·X_a (u: non-anchor rows, a: anchor rows) on its
-    own until its largest change falls below eta. Blocks run on min(blocks,
-    usable cores) threads, inline when that is one; the block width depends
-    only on the number of non-anchor rows, so the output does not depend on
-    the number of cores. Anchor rows are never iterated, so their semantic
-    vectors come out bit-identical.
+    one more than the nearest level among the rows it depends on. Each reachable
+    non-anchor row starts at the weighted average of its rows exactly one level
+    nearer (_start_levels), built outward from the anchors; rows that reach no
+    anchor (policy anchor-mean) start and stay at the mean of the anchor semantic
+    vectors. All rows are then updated synchronously; the fixed point does not
+    depend on the start. The map acts on each semantic column separately, so the
+    columns are split into blocks of about _BLOCK_BYTES of state each. Each block
+    fills its start on its own columns, iterates x <- W_uu·x + W_ua·X_a (u:
+    non-anchor rows, a: anchor rows; _solve_block) until its largest change falls
+    below eta, and returns its step count, last change and residual. Blocks run
+    on min(blocks, usable cores) pool threads, inline when that is one, and come
+    back in block order; the block width depends only on the number of
+    non-anchor rows, so the output does not depend on the number of cores.
+    Anchor rows are never iterated, so their semantic vectors come out
+    bit-identical.
     """
     n = weights.n
     if len(domain_tokens) != n:
@@ -338,8 +327,8 @@ def impute(
     is_anchor = np.zeros(n, dtype=bool)
     is_anchor[dom_rows] = True
     non_anchor = np.flatnonzero(~is_anchor)
-    level = _anchor_levels(weights)[non_anchor]
-    unreachable = non_anchor[np.isinf(level)]
+    level = _anchor_levels(weights)
+    unreachable = np.flatnonzero(np.isinf(level))
     unreachable_tokens = [domain_tokens[i] for i in unreachable]
     if len(unreachable):
         if cfg.unreachable_policy == "error":
@@ -355,53 +344,39 @@ def impute(
     state = np.empty((n, semantic.dim))
     state[unreachable] = anchor_vectors.mean(axis=0)
     state[dom_rows] = anchor_vectors
-    anchor_hops_max = int(level[np.isfinite(level)].max(initial=1)) - 1
+    anchor_hops_max = int(level[np.isfinite(level)].max()) - 1
 
     iterations, converged, residual, block_iterations, threads = 0, True, 0.0, [], 0
     if len(non_anchor):
         w_u = weights.matrix[non_anchor]
         w_uu = w_u[:, non_anchor]
-        anchor_rows = np.flatnonzero(is_anchor)
-        w_ua = w_u[:, anchor_rows]
-        rows2 = np.flatnonzero(level == 2)
-        level2 = (rows2, np.asarray(w_ua[rows2].sum(axis=1)).ravel())
-        deeper = _start_levels(w_uu, level)
+        w_ua = w_u[:, np.flatnonzero(is_anchor)]
+        start = _start_levels(weights.matrix, level)
         width = max(8, _BLOCK_BYTES // (8 * len(non_anchor)))
         blocks = [slice(c, min(c + width, semantic.dim)) for c in range(0, semantic.dim, width)]
 
-        block_iterations = [0] * len(blocks)
-        last_change = [0.0] * len(blocks)
-        block_residual = [0.0] * len(blocks)
-
-        def solve_blocks(first: int) -> None:
-            # blocks first, first + threads, ...; each writes its own columns of state
-            for b in range(first, len(blocks), threads):
-                cols = blocks[b]
-                x, block_iterations[b], last_change[b] = _solve_block(
-                    w_uu, w_ua, state[anchor_rows, cols], state[non_anchor, cols],
-                    level2, deeper, cfg,
-                )
-                state[non_anchor, cols] = x
-                # each column's sums run in the same order as in one full W·X
-                gap = w_u @ state[:, cols]
-                gap -= x
-                block_residual[b] = float(np.abs(gap, out=gap).max())
+        def solve(cols: slice) -> tuple[int, float, float]:
+            block = state[:, cols]  # a view: each block writes only its own columns
+            for rows, nearer in start:
+                block[rows] = nearer @ block
+            x, steps, change = _solve_block(
+                w_uu, w_ua @ block[is_anchor], block[non_anchor], cfg)
+            block[non_anchor] = x
+            # each column's sums run in the same order as in one full W·X
+            gap = w_u @ block
+            gap -= x
+            return steps, change, float(np.abs(gap, out=gap).max())
 
         threads = min(len(blocks), _usable_cores())
         if threads == 1:
-            solve_blocks(0)
+            solved = list(map(solve, blocks))
         else:
             from concurrent.futures import ThreadPoolExecutor  # on first use only
 
-            # scipy's sparse products and numpy's ufuncs release the GIL. The
-            # calling thread solves its own share: each pool thread's malloc arena
-            # keeps about 4 MB of freed iterates (impute-rare-anchors), where the
-            # caller's arena reuses them
-            with ThreadPoolExecutor(threads - 1) as pool:
-                futures = [pool.submit(solve_blocks, t) for t in range(1, threads)]
-                solve_blocks(0)
-                for f in futures:
-                    f.result()
+            # scipy's sparse products and numpy's ufuncs release the GIL
+            with ThreadPoolExecutor(threads) as pool:
+                solved = list(pool.map(solve, blocks))
+        block_iterations, last_change, block_residual = map(list, zip(*solved))
 
         iterations = max(block_iterations)
         stuck = [change for change in last_change if not change < cfg.eta]

@@ -45,6 +45,10 @@ BAD_RUNS = {
                                     "node_types must be non-empty"),
     "filter-corpus missing --terms": (["filter-corpus", "--corpus", "{corpus}",
                                        "--terms", "{absent}"], "--terms not found"),
+    # data faults found only once the stage body runs
+    "filter-corpus empty --terms": (["filter-corpus", "--corpus", "{corpus}",
+                                     "--terms", "{empty}"], "is empty"),
+    "train-sgns blank corpus": (["train-sgns", "--corpus", "{blank}"], "has no sentences"),
     "align-baseline missing --domain": (["align-baseline", "--semantic", "{semantic}",
                                          "--domain", "{absent}"], "--domain not found"),
     "evaluate --trained-vocab alone": (["evaluate", "--embeddings", "{semantic}",
@@ -77,8 +81,10 @@ def _stage_inputs(tmp_path) -> dict[str, str]:
     _write_embeddings(tmp_path / "semantic.vec", tokens[:5], rng.standard_normal((5, 3)))
     (tmp_path / "terms.txt").write_text("term-00\n")
     (tmp_path / "no_types.json").write_text(json.dumps({"extraction": {"node_types": []}}))
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "blank.txt").write_text("\n  \n\n")
     for name in ("nodes.tsv", "edges.tsv", "domain.vec", "semantic.vec", "terms.txt",
-                 "no_types.json"):
+                 "no_types.json", "empty.txt", "blank.txt"):
         paths[name.split(".")[0]] = tmp_path / name
     paths.update(absent=tmp_path / "absent.txt", nodir=tmp_path / "nodir")
     return {name: str(path) for name, path in paths.items()}

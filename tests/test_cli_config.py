@@ -167,6 +167,8 @@ def test_bad_paths_section_is_input_error(fixture_files, capsys, paths, named):
      "invalid evaluate configuration: seed must be >= 0, got -1"),
     ({"extraction": {"node_types": ["ConceptType"]}, "evaluate": {"split_seed": -3}},
      "invalid evaluate configuration: split_seed must be >= 0, got -3"),
+    ({"extraction": {"node_types": [1, "http://x/T"]}},
+     "extraction.node_types: expected list of str, got [1, 'http://x/T']"),
 ])
 def test_mistyped_config_field_is_input_error(fixture_files, capsys, sections, named):
     files, tmp_path = fixture_files

@@ -156,6 +156,20 @@ def test_pearson_affine_invariance():
 def test_pearson_rejects_constant_input():
     with pytest.raises(ValueError, match="constant"):
         pearson(np.ones(5), np.arange(5.0))
+    # the mean of three 0.1s rounds, so the centred values are not all 0
+    with pytest.raises(ValueError, match="constant"):
+        pearson(np.full(3, 0.1), np.arange(3.0))
+
+
+def test_bootstrap_constant_scores_not_evaluable():
+    emb = _toy_embedding()
+    ds = _dataset([("w0", "w1", 0.1, 100.0), ("w0", "w2", 0.1, 200.0), ("w1", "w2", 0.1, 400.0)])
+    split = classify_pairs(ds, {"w0", "w1", "w2"}, set())
+    report = bootstrap_eval(emb, split, n_resamples=20, seed=0)
+    cell = report.scores["trained/trained"]["similarity"]
+    assert (cell.n, cell.r, cell.boot_mean) == (3, None, None)
+    assert cell.reason == "pearson is undefined for constant input"
+    assert report.scores["trained/trained"]["relatedness"].r is not None
 
 
 def _toy_embedding() -> EmbeddingMatrix:
