@@ -25,9 +25,11 @@ class OrthogonalMap:
 
 
 def fit_alignment(domain_anchors: np.ndarray, semantic_anchors: np.ndarray) -> OrthogonalMap:
-    """Q minimizing ||X Q - Y||_F over orthogonal matrices, Q = U V^T from X^T Y.
+    """Q minimizing ||X Q - Y||_F over orthogonal matrices, Q = U V^T from the thin SVD of X^T Y.
 
-    Reflections are permitted (no det(Q) = +1 constraint). Fewer anchor rows
+    When the two dimensions differ, Q is semi-orthogonal: its rows (domain dim
+    smaller) or its columns (domain dim larger) are orthonormal. Reflections
+    are permitted (no det(Q) = +1 constraint). Fewer anchor rows
     than dimensions gives a rank-deficient fit; it is computed anyway with a
     warning.
     """
@@ -42,7 +44,7 @@ def fit_alignment(domain_anchors: np.ndarray, semantic_anchors: np.ndarray) -> O
             "only %d anchor rows for dimension %d: rank-deficient fit",
             X.shape[0], X.shape[1],
         )
-    u, _, vt = np.linalg.svd(X.T @ Y)
+    u, _, vt = np.linalg.svd(X.T @ Y, full_matrices=False)
     q = u @ vt
     residual = float(np.linalg.norm(X @ q - Y))
     return OrthogonalMap(q, X.shape[0], residual)

@@ -431,7 +431,7 @@ def cmd_evaluate(run: Run) -> StageResult:
     "dataset": "dataset (--dataset or paths.dataset)",
 })
 def cmd_pipeline(run: Run) -> StageResult:
-    """Chain every stage: split, filter, train, extract, embed, impute, align, evaluate."""
+    """Chain split, filter, train, extract, embed, impute and evaluate (not align-baseline)."""
     out = run.out
 
     def stage(handler, **changes: str) -> None:
@@ -457,10 +457,7 @@ def cmd_pipeline(run: Run) -> StageResult:
     # 6. impute missing vectors and merge into the trained model
     merged_path = Path(run.ns.merged_out) if run.ns.merged_out else out / "merged.vec"
     stage(cmd_impute, semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
-    # 7. alignment baseline over the same inputs
-    stage(cmd_align_baseline, semantic=semantic_path, domain=domain_path,
-          merged_out=str(out / "baseline_merged.vec"))
-    # 8. evaluate the imputed model
+    # 7. evaluate the imputed model
     stage(cmd_evaluate, embeddings=str(merged_path), dataset=str(run.inputs["dataset"]),
           trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
     print(f"pipeline finished; artifacts and manifests in {out}")

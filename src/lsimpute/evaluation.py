@@ -69,7 +69,7 @@ def load_wordpair_dataset(path: str) -> WordPairDataset:
     """CSV with header Term1,Term2,Similarity,Relatedness; terms get normalized."""
     records: list[WordPair] = []
     seen: set[frozenset[str]] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:4]] != [

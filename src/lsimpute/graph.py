@@ -16,7 +16,7 @@ import logging
 import re
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -58,52 +58,24 @@ def _unescape(literal: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, literal)
 
 
-@dataclass(slots=True)
-class Triple:
-    subject: str
-    predicate: str
-    obj: str
-    is_literal: bool
-
-
 @dataclass(eq=False)  # array fields: == would compare element-wise
 class TripleSet:
     """Parsed triples as columns over interned terms.
 
     Every distinct IRI or literal text is stored once in `terms`; row i of
-    `ids` holds the term ids of triple i's subject, predicate and object, and
-    `is_literal[i]` tells whether that object is a literal. An IRI and a
+    `triples` holds the term ids of triple i's subject, predicate and object,
+    and `is_literal[i]` tells whether that object is a literal. An IRI and a
     literal with the same text share one id.
     """
 
     terms: list[str]
-    ids: np.ndarray         # (m, 3) C int (int32): subject, predicate, object
+    triples: np.ndarray     # (m, 3) C int (int32): subject, predicate, object
     is_literal: np.ndarray  # (m,) bool
     skipped: int = 0        # malformed lines
     blank_node_lines: int = 0  # well-formed lines with a blank-node subject or object; not kept
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def triples(self) -> Sequence[Triple]:
-        """Read-only sequence of `Triple`; each is built when it is read."""
-        return _TripleView(self)
-
-
-class _TripleView(Sequence):
-    """`TripleSet.triples`: row i as a `Triple`, built when it is read."""
-
-    def __init__(self, tset: TripleSet) -> None:
-        self._tset = tset
-
-    def __len__(self) -> int:
-        return len(self._tset.ids)
-
-    def __getitem__(self, i: int) -> Triple:
-        terms = self._tset.terms
-        s, p, o = self._tset.ids[i].tolist()
-        return Triple(terms[s], terms[p], terms[o], bool(self._tset.is_literal[i]))
+        return len(self.triples)
 
 
 def parse_ntriples(lines: Iterable[str]) -> TripleSet:
@@ -238,7 +210,7 @@ def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
     wanted = {cfg.type_predicate, cfg.label_predicate, *cfg.node_types, *cfg.bridge_types}
     found = {t: i for i, t in enumerate(tset.terms) if t in wanted}
     n_terms = len(tset.terms)
-    subj, pred, obj = tset.ids.T
+    subj, pred, obj = tset.triples.T
     iri = ~tset.is_literal
 
     is_type = iri & (pred == found.get(cfg.type_predicate, -1))

@@ -229,15 +229,11 @@ def _anchor_levels(weights: WeightMatrix) -> np.ndarray:
     the rows it depends on (W[i, j] > 0); inf when no anchor is reachable."""
     from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
 
-    n = weights.n
     anchors = np.fromiter(weights.anchor_rows, dtype=np.int64)
     # i depends on j when W[i, j] > 0 (only positive weights are stored), so one
-    # BFS walks the edges j -> i from a virtual node n joined to every anchor
-    w = weights.matrix.tocoo()
-    tails = np.concatenate([w.col, np.full(len(anchors), n)])
-    heads = np.concatenate([w.row, anchors])
-    graph = sp.csr_array((np.ones(len(tails)), (tails, heads)), shape=(n + 1, n + 1))
-    return csgraph.shortest_path(graph, indices=n, unweighted=True)[:n]
+    # search from every anchor at once walks the edges j -> i, the rows of W^T
+    return 1 + csgraph.dijkstra(weights.matrix.T.tocsr(), indices=anchors, unweighted=True,
+                                min_only=True)
 
 
 def _start_levels(

@@ -66,12 +66,14 @@ class SgnsConfig:
             raise ValueError(f"negative must be >= 1, got {self.negative}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not math.isfinite(self.sample):
-            raise ValueError(f"sample must be finite, got {self.sample}")
+        if not 0 <= self.sample < math.inf:
+            raise ValueError(f"sample must be finite and >= 0, got {self.sample}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

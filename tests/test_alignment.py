@@ -37,6 +37,19 @@ def test_orthogonality_invariant():
         np.testing.assert_allclose(q.matrix.T @ q.matrix, np.eye(10), atol=1e-8)
 
 
+@pytest.mark.parametrize("domain_dim, semantic_dim", [(4, 6), (6, 4)])
+def test_map_between_dimensions_is_semi_orthogonal(domain_dim, semantic_dim):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((30, domain_dim))
+    y = rng.standard_normal((30, semantic_dim))
+    q = fit_alignment(x, y).matrix
+    assert q.shape == (domain_dim, semantic_dim)
+    small = min(domain_dim, semantic_dim)
+    # the shorter side is orthonormal: Q Q^T = I for 4 -> 6, Q^T Q = I for 6 -> 4
+    gram = q @ q.T if domain_dim < semantic_dim else q.T @ q
+    np.testing.assert_allclose(gram, np.eye(small), atol=1e-10)
+
+
 def test_noisy_fit_beats_random_orthogonal_maps():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((60, 6))

@@ -18,6 +18,7 @@ def test_removed_entry_points_are_gone():
     removed = [
         (lsimpute, "connected_components"),
         (graph, "connected_components"),
+        (graph, "Triple"),
         (lsimpute.NeighborGraph, "edges"),
         (lsimpute.NeighborGraph, "min_degree"),
         (lsimpute.WeightMatrix, "row_entries"),

@@ -37,6 +37,10 @@ def test_missing_input_is_input_error(tmp_path):
 BAD_RUNS = {
     "train-sgns --dim 0": (["train-sgns", "--corpus", "{corpus}", "--dim", "0"],
                            "dim must be >= 1"),
+    "train-sgns --min-count 0": (["train-sgns", "--corpus", "{corpus}", "--min-count", "0"],
+                                 "min_count must be >= 1"),
+    "train-sgns --sample -1": (["train-sgns", "--corpus", "{corpus}", "--sample", "-1"],
+                               "sample must be finite and >= 0"),
     "node2vec --p -1": (["node2vec", "--nodes", "{nodes}", "--edges", "{edges}", "--p", "-1"],
                         "p and q must be finite and positive"),
     "impute --k 0": (["impute", "--semantic", "{semantic}", "--domain", "{domain}", "--k", "0"],
@@ -252,6 +256,18 @@ def test_align_baseline_subcommand(tmp_path):
     assert (tmp_path / "alignment_map.txt").exists()
 
 
+def test_align_baseline_maps_across_dimensions(tmp_path):
+    # a 4-d domain space onto a 6-d semantic space: the map is 4 x 6
+    rng = np.random.default_rng(5)
+    domain_tokens = [f"t{i}" for i in range(10)]
+    _write_embeddings(tmp_path / "domain.vec", domain_tokens, rng.standard_normal((10, 4)))
+    _write_embeddings(tmp_path / "semantic.vec", domain_tokens[:7], rng.standard_normal((7, 6)))
+    assert main(["align-baseline", "--semantic", str(tmp_path / "semantic.vec"),
+                 "--domain", str(tmp_path / "domain.vec"), "--out-dir", str(tmp_path)]) == 0
+    aligned = read_embeddings(str(tmp_path / "aligned_oov.vec"))
+    assert (aligned.tokens, aligned.dim) == (domain_tokens[7:], 6)
+
+
 def test_train_sgns_subcommand(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("".join("a b a b c\n" for _ in range(30)))
@@ -400,6 +416,19 @@ def test_pipeline_reads_paths_from_config(fixture_files):
     assert (out / "eval_report.json").exists()
 
 
+def test_pipeline_runs_with_graph_and_text_dims_apart(fixture_files):
+    files, tmp_path = fixture_files
+    config = json.loads(files["config"].read_text())
+    config["sgns_graph"]["dim"], config["sgns_text"]["dim"] = 64, 100
+    files["config"].write_text(json.dumps(config))
+    out = tmp_path / "run_dims"
+    assert main(["--config", str(files["config"]), "pipeline", "--dump", str(files["dump"]),
+                 "--corpus", str(files["corpus"]), "--dataset", str(files["dataset"]),
+                 "--out-dir", str(out)]) == 0
+    assert (out / "eval_report.json").exists()
+    assert read_embeddings(str(out / "merged.vec")).dim == 100
+
+
 def test_pipeline_end_to_end(fixture_files, capsys):
     files, tmp_path = fixture_files
     out = tmp_path / "run"
@@ -423,8 +452,12 @@ def test_pipeline_end_to_end(fixture_files, capsys):
     assert all(tok in merged for tok in imputed_vocab)
 
     for stage in ["filter_corpus", "train_sgns", "extract_graph", "node2vec",
-                  "impute", "align_baseline", "evaluate", "pipeline"]:
+                  "impute", "evaluate", "pipeline"]:
         assert (out / f"{stage}_manifest.json").exists(), stage
+    # the alignment baseline is its own command, not a pipeline step
+    for name in ["aligned_oov.vec", "alignment_map.txt", "baseline_merged.vec",
+                 "align_baseline_manifest.json"]:
+        assert not (out / name).exists(), name
 
     table = capsys.readouterr().out
     assert "trained/trained" in table

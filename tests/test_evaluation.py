@@ -44,6 +44,14 @@ def test_load_dataset_normalizes_multiword_terms(tmp_path):
     assert ds.records[0].term1 == "heart-attack"
 
 
+def test_load_dataset_accepts_utf8_bom(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+    p = tmp_path / "bom.csv"
+    p.write_bytes("\ufeffTerm1,Term2,Similarity,Relatedness\nAnemia,Rales,10,20\n".encode())
+    ds = load_wordpair_dataset(str(p))
+    assert [(r.term1, r.term2) for r in ds.records] == [("anemia", "rales")]
+
+
 def test_load_dataset_rejects_out_of_range_scores(tmp_path):
     p = tmp_path / "pairs.csv"
     p.write_text("Term1,Term2,Similarity,Relatedness\na,b,1700,100\n")

@@ -22,17 +22,21 @@ TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 
 
+def _rows(ts) -> list[tuple[str, str, str, bool]]:
+    """Each parsed triple as (subject, predicate, object, object is a literal)."""
+    return [(*(ts.terms[t] for t in row), bool(lit))
+            for row, lit in zip(ts.triples.tolist(), ts.is_literal)]
+
+
 def test_parse_iri_triple():
     ts = parse_ntriples(["<a> <p> <b> ."])
     assert len(ts) == 1
-    t = ts.triples[0]
-    assert (t.subject, t.predicate, t.obj, t.is_literal) == ("a", "p", "b", False)
+    assert _rows(ts) == [("a", "p", "b", False)]
 
 
 def test_parse_literal_triple():
     ts = parse_ntriples(['<a> <rdfs:label> "Aspirin" .'])
-    t = ts.triples[0]
-    assert t.obj == "Aspirin" and t.is_literal
+    assert _rows(ts) == [("a", "rdfs:label", "Aspirin", True)]
 
 
 def test_parse_typed_and_tagged_literals():
@@ -41,12 +45,12 @@ def test_parse_typed_and_tagged_literals():
         '<a> <p> "Aspirin"@en .',
         '<a> <p> "escaped \\"x\\"" .',
     ])
-    assert [t.obj for t in ts.triples] == ["2021", "Aspirin", 'escaped "x"']
+    assert [obj for _, _, obj, _ in _rows(ts)] == ["2021", "Aspirin", 'escaped "x"']
 
 
 def test_parse_escaped_backslash_before_n_is_not_a_newline():
     ts = parse_ntriples(['<a> <p> "a\\\\nb" .'])
-    assert ts.triples[0].obj == "a\\nb"  # a, backslash, n, b
+    assert _rows(ts)[0][2] == "a\\nb"  # a, backslash, n, b
 
 
 def test_parse_unicode_escapes():
@@ -55,12 +59,12 @@ def test_parse_unicode_escapes():
         '<a> <p> "clef \\U0001D11E" .',
         '<a> <p> "tab\\there\\r\\n\\b\\f\\\'" .',
     ])
-    assert [t.obj for t in ts.triples] == ["Sjögren", "clef \U0001D11E", "tab\there\r\n\b\f'"]
+    assert [obj for _, _, obj, _ in _rows(ts)] == ["Sjögren", "clef \U0001D11E", "tab\there\r\n\b\f'"]
 
 
 def test_parse_unknown_escape_kept_as_written():
     ts = parse_ntriples(['<a> <p> "x\\qy \\u00G1" .'])
-    assert ts.triples[0].obj == "x\\qy \\u00G1"
+    assert _rows(ts)[0][2] == "x\\qy \\u00G1"
 
 
 def test_parse_skips_garbage_with_count():
@@ -78,7 +82,7 @@ def test_parse_counts_blank_node_lines_apart_from_malformed():
         "<a> _:b2 <b> .",  # a blank node cannot be a predicate
         "_:b0 <p> .",
     ])
-    assert [(t.subject, t.obj) for t in ts.triples] == [("a", "b")]
+    assert _rows(ts) == [("a", "p", "b", False)]
     assert (ts.blank_node_lines, ts.skipped) == (3, 2)
 
 
@@ -117,7 +121,7 @@ def test_parse_escape_round_trip(chars, suffix):
     body = _escape(text, [form for _, form in chars])
     ts = parse_ntriples([f'<s> <p> "{body}"{suffix} .\n'])
     assert ts.skipped == 0
-    assert (ts.triples[0].obj, ts.triples[0].is_literal) == (text, True)
+    assert _rows(ts) == [("s", "p", text, True)]
 
 
 def test_parse_gzip_file(tmp_path):
