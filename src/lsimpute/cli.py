@@ -377,6 +377,7 @@ def cmd_impute(run: Run) -> StageResult:
         "threads": result.threads,
         "unreachable_nodes": len(result.unreachable_tokens),
         "anchor_hops_max": result.anchor_hops_max,
+        **result.graph_health,
     }
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,10 +51,15 @@ class LsiConfig:
 
 # Distance rows come in blocks of about this many bytes of float64 (temporaries
 # add twice that), but of at least 32 rows, so that BLAS multiplies matrices:
-# at n = 58,695 (d = 200, 2 cores) knn_mst took 456 s, and 841 s with 2-row blocks.
-# The fixed point iterates column blocks of the same size (at least 8 columns).
+# at n = 58,695 (d = 200, 2 cores) knn_mst, then with Prim's MST, took 456 s,
+# and 841 s with 2-row kNN blocks. The fixed point iterates column blocks of
+# the same size (at least 8 columns).
 _BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 32
+
+
+def _block_rows(n: int) -> int:
+    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))
 
 
 @dataclass
@@ -62,8 +67,9 @@ class NeighborGraph:
     """Symmetric adjacency over domain rows: kNN edges united with MST edges."""
 
     neighbors: list[np.ndarray]            # sorted neighbor indices per row
-    mst: np.ndarray                        # (n - 1, 2) integer pairs (i, j) with i < j
-    knn: np.ndarray                        # (n, k) int32: each row's k nearest rows, sorted
+    mst: np.ndarray                        # (n - 1, 2) integer pairs (i, j) with i < j, sorted
+    knn: np.ndarray                        # (n, k) int32: each row's k nearest rows, sorted by index
+    health: dict[str, int]                 # Borůvka rounds, rows scanned, MST-only edges, degrees
 
     @property
     def n(self) -> int:
@@ -78,7 +84,7 @@ class NeighborGraph:
         return {(min(i, j), max(i, j)) for i, row in enumerate(self.knn.tolist()) for j in row}
 
 
-def _sq_distances(x: np.ndarray, sq: np.ndarray, rows: slice) -> np.ndarray:
+def _sq_distances(x: np.ndarray, sq: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distances from x[rows] to every row."""
     out = x[rows] @ x.T
     out *= 2.0
@@ -86,43 +92,94 @@ def _sq_distances(x: np.ndarray, sq: np.ndarray, rows: slice) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _knn(x: np.ndarray, sq: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest other rows as an (n, k) int32 array, each row sorted;
-    ties go to the smaller row index, as in a stable argsort of the row."""
+def _knn(x: np.ndarray, sq: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest other rows in (distance, index) order as an (n, k)
+    int32 array, and their squared distances; ties go to the smaller row index,
+    as in a stable argsort of the row."""
     n = len(x)
-    block = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))
-    knn = np.empty((n, k), dtype=np.int32)
+    block = _block_rows(n)
+    near = np.empty((n, k), dtype=np.int32)
+    near_sq = np.empty((n, k))
     for start in range(0, n, block):
         stop = min(start + block, n)
         dist = _sq_distances(x, sq, slice(start, stop))
         np.fill_diagonal(dist[:, start:], np.inf)
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
-        near = dist <= kth[:, None]
-        for r in np.flatnonzero(near.sum(axis=1) > k):  # ties at the k-th distance
-            near[r] = False
-            near[r, np.argsort(dist[r], kind="stable")[:k]] = True
-        knn[start:stop] = np.nonzero(near)[1].reshape(-1, k)
-    return knn
+        # the k + 1 smallest, sorted by (distance, index): their first k are the
+        # k nearest unless the k-th distance equals the (k + 1)-th
+        idx = np.argpartition(dist, k, axis=1)[:, :k + 1]
+        val = np.take_along_axis(dist, idx, axis=1)
+        order = np.lexsort((idx, val), axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        val = np.take_along_axis(val, order, axis=1)
+        for r in np.flatnonzero(val[:, k - 1] == val[:, k]):
+            idx[r, :k] = np.argsort(dist[r], kind="stable")[:k]
+            val[r, :k] = dist[r, idx[r, :k]]
+        near[start:stop] = idx[:, :k]
+        near_sq[start:stop] = val[:, :k]
+    return near, near_sq
 
 
-def _prim_mst(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Exact MST of the complete distance graph: O(n^2) Prim, one distance row at a time."""
-    n = len(x)
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)  # stays inf for rows in the tree
-    parent = np.zeros(n, dtype=np.int64)
-    edges = np.empty((n - 1, 2), dtype=np.int64)
-    v = 0
-    for step in range(n - 1):
-        in_tree[v] = True
-        row = _sq_distances(x, sq, slice(v, v + 1))[0]
-        row[in_tree] = np.inf
-        parent[row < best] = v
-        np.minimum(best, row, out=best)
-        best[v] = np.inf
-        v = int(np.argmin(best))
-        edges[step] = sorted((int(parent[v]), v))
-    return edges
+def _boruvka_mst(
+    x: np.ndarray, sq: np.ndarray, near: np.ndarray, near_sq: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """Exact MST of the complete distance graph, built from each row's k nearest
+    rows in (distance, index) order (near) and their squared distances (near_sq).
+
+    In each Borůvka round every component takes its smallest edge to another
+    component under the strict order (distance, smaller row, larger row), so the
+    chosen edges never close a cycle. A row's nearest point outside its
+    component is the first entry of its list that lies outside. A row whose
+    whole list lies inside is at least its k-th distance (or the distance of
+    its cached point, once that point has joined the component) from any
+    outside point, and is scanned against every row only when that bound can
+    reach its component's best edge; a scan caches the row's nearest outside
+    point, which stays exact while it stays outside. Returns the (n - 1, 2)
+    edges (i < j, sorted), the rounds and the rows scanned.
+    """
+    from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
+
+    n = len(near)
+    block = _block_rows(n)
+    comp = np.arange(n, dtype=np.int32)  # component labels 0 .. count - 1
+    count = n
+    cached = np.full(n, -1)              # each scanned row's nearest point outside, once found
+    cached_sq = near_sq[:, -1].copy()    # a lower bound on that point's distance, exact when found
+    keys: list[np.ndarray] = []          # chosen edges as i * n + j, i < j
+    rounds = scanned = 0
+    while count > 1:
+        rounds += 1
+        outside = comp[near] != comp[:, None]
+        listed = outside.any(axis=1)
+        first = outside.argmax(axis=1)
+        cand = np.where(listed, near[np.arange(n), first], cached)
+        cand_sq = np.where(listed, near_sq[np.arange(n), first], cached_sq)
+        found = listed | ((cand >= 0) & (comp[cand] != comp))
+        best = np.full(count, np.inf)
+        np.minimum.at(best, comp[found], cand_sq[found])
+        scan = np.flatnonzero(~found & (cached_sq <= best[comp]))
+        for start in range(0, len(scan), block):
+            rows = scan[start:start + block]
+            dist = _sq_distances(x, sq, rows)
+            dist[comp[rows, None] == comp] = np.inf
+            nearest = dist.argmin(axis=1)
+            cand[rows] = cached[rows] = nearest
+            cand_sq[rows] = cached_sq[rows] = dist[np.arange(len(rows)), nearest]
+        found[scan] = True
+        scanned += len(scan)
+
+        rows = np.flatnonzero(found)
+        lo = np.minimum(rows, cand[rows])
+        hi = np.maximum(rows, cand[rows])
+        order = np.lexsort((hi, lo, cand_sq[rows], comp[rows]))
+        label = comp[rows[order]]
+        pick = order[np.r_[True, label[1:] != label[:-1]]]
+        keys.append(lo[pick] * n + hi[pick])
+        joins = sp.coo_array((np.ones(len(pick)), (comp[lo[pick]], comp[hi[pick]])),
+                             shape=(count, count))
+        count, labels = csgraph.connected_components(joins, directed=False)
+        comp = labels[comp]
+    mst = np.column_stack(np.divmod(np.unique(np.concatenate(keys)), n))
+    return mst, rounds, scanned
 
 
 def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
@@ -131,7 +188,9 @@ def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
     Each row contributes edges to its k nearest rows (ties broken by smaller
     row index); the MST guarantees connectivity, the kNN part guarantees
     minimum degree k. Distances are computed a block of rows at a time, so
-    memory stays O(n·k) and the n × n matrix never exists.
+    memory stays O(n·k) and the n × n matrix never exists; the MST is built
+    from the kNN lists (_boruvka_mst), scanning only rows whose list lies
+    inside their component.
     """
     n = len(domain)
     if n < 2:
@@ -141,8 +200,10 @@ def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
 
     x = domain.vectors
     sq = np.einsum("ij,ij->i", x, x)
-    knn = _knn(x, sq, k)
-    mst = _prim_mst(x, sq)
+    knn, knn_sq = _knn(x, sq, k)
+    mst, rounds, scanned = _boruvka_mst(x, sq, knn, knn_sq)
+    del knn_sq
+    knn.sort(axis=1)  # from (distance, index) order to index order, in place
 
     rows = np.concatenate([np.repeat(np.arange(n, dtype=np.int32), k), mst[:, 0]], dtype=np.int32)
     cols = np.concatenate([knn.ravel(), mst[:, 1]], dtype=np.int32)
@@ -150,7 +211,17 @@ def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
     union = a + a.T
     union.sort_indices()
     neighbors = np.split(union.indices, union.indptr[1:-1])
-    return NeighborGraph(neighbors, mst, knn)
+    in_knn = ((knn[mst[:, 0]] == mst[:, 1, None]).any(axis=1)
+              | (knn[mst[:, 1]] == mst[:, 0, None]).any(axis=1))
+    degree = np.diff(union.indptr)
+    health = {
+        "boruvka_rounds": rounds,
+        "mst_rows_scanned": scanned,
+        "mst_edges_outside_knn": int((~in_knn).sum()),
+        "min_degree": int(degree.min()),
+        "max_degree": int(degree.max()),
+    }
+    return NeighborGraph(neighbors, mst, knn, health)
 
 
 @dataclass
@@ -222,6 +293,7 @@ class ImputationResult:
     anchor_hops_max: int              # most hops from a reachable row to an anchor
     block_iterations: list[int]       # one count per column block
     threads: int                      # threads that solved the blocks; 0 when nothing is imputed
+    graph_health: dict[str, int] = field(default_factory=dict)  # knn_mst's; empty with no graph
 
 
 def _anchor_levels(weights: WeightMatrix) -> np.ndarray:
@@ -409,11 +481,14 @@ def lsi_pipeline(
     anchors = find_anchors(semantic, domain)
     if len(anchors) == 0:
         raise ValueError("the two vocabularies share no tokens; imputation needs anchors")
+    graph_health: dict[str, int] = {}
     if len(anchors) == len(domain):
         logger.info("domain vocabulary fully covered; nothing to impute")
         identity = sp.identity(len(domain), format="csr")
         weights = WeightMatrix(identity, frozenset(anchors.domain_rows()))
     else:
         graph = knn_mst(domain, cfg.k)
+        graph_health = graph.health
         weights = solve_weights(domain, graph, set(anchors.domain_rows()))
-    return impute(weights, anchors, semantic, list(domain.tokens), cfg)
+    result = impute(weights, anchors, semantic, list(domain.tokens), cfg)
+    return replace(result, graph_health=graph_health)

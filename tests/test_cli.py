@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from lsimpute import EmbeddingMatrix, read_embeddings, write_embeddings
+from lsimpute import EmbeddingMatrix, knn_mst, read_embeddings, write_embeddings
 from lsimpute.cli import main
 from lsimpute.evaluation import load_wordpair_dataset
 from lsimpute.walks import read_corpus
@@ -214,11 +214,13 @@ def test_impute_writes_report_and_merged(tmp_path):
     # 4 semantic columns make one column block, solved inline
     health = json.loads((tmp_path / "impute_manifest.json").read_text())["health"]
     assert health.pop("anchor_hops_max") >= 1  # every imputed row reaches an anchor
+    graph = knn_mst(read_embeddings(str(tmp_path / "domain.vec")), 2)
+    assert graph.health["boruvka_rounds"] >= 1 and graph.health["min_degree"] >= 2
     assert health == {
         "iterations": report["iterations"], "residual": report["residual"],
         "column_blocks": 1, "block_iterations_min": report["iterations"],
         "block_iterations_max": report["iterations"], "threads": 1,
-        "unreachable_nodes": 0,
+        "unreachable_nodes": 0, **graph.health,
     }
     assert health["iterations"] >= 1
 

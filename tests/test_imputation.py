@@ -69,6 +69,10 @@ def test_mst_matches_kruskal_oracle_and_degree_bound():
             assert min(map(len, g.neighbors)) >= k
 
 
+def _length(points: np.ndarray, edges) -> float:
+    return sum(float(np.linalg.norm(points[i] - points[j])) for i, j in edges)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_knn_mst_properties_on_small_point_sets(data):
@@ -86,6 +90,8 @@ def test_knn_mst_properties_on_small_point_sets(data):
         assert all(i in g.neighbors[j] for j in nbrs)
     assert len(g.mst) == n - 1 and len(g.mst_edges) == n - 1
     assert len(transitive_closure_components(n, g.mst_edges)) == 1
+    # tied MSTs differ in edges, not in length
+    assert abs(_length(points, g.mst_edges) - _length(points, kruskal_mst(points))) < 1e-9
     np.testing.assert_array_equal(g.knn, _stable_knn(points, k))
 
 
@@ -107,8 +113,7 @@ def test_blocked_knn_and_mst_with_ties_across_blocks(monkeypatch):
     monkeypatch.setattr(imputation, "_BLOCK_BYTES", 8 * n * 5)
     monkeypatch.setattr(imputation, "_MIN_BLOCK_ROWS", 1)
     domain = _emb(points)
-    length = lambda edges: sum(np.linalg.norm(points[i] - points[j]) for i, j in edges)
-    oracle_length = length(kruskal_mst(points))  # tied MSTs differ in edges, not in length
+    oracle_length = _length(points, kruskal_mst(points))  # tied MSTs differ in edges, not in length
     for k in (1, 3, 4, 6):
         g = knn_mst(domain, k)
 
@@ -120,11 +125,30 @@ def test_blocked_knn_and_mst_with_ties_across_blocks(monkeypatch):
 
         mst = g.mst_edges
         assert len(mst) == n - 1
-        assert abs(length(mst) - oracle_length) < 1e-9
+        assert abs(_length(points, mst) - oracle_length) < 1e-9
         assert len(transitive_closure_components(n, mst)) == 1
         assert min(map(len, g.neighbors)) >= k
         adjacency = {(i, int(j)) for i, nbrs in enumerate(g.neighbors) for j in nbrs if i < j}
         assert g.knn_edges | g.mst_edges == adjacency
+
+
+def test_mst_across_a_disconnected_knn_graph(monkeypatch):
+    # 30 clusters far apart: every row's 3 nearest rows lie in its own cluster,
+    # so the MST edges between clusters come from rows scanned outside their lists
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(-1000, 1000, size=(30, 5))
+    points = centers[np.arange(300) % 30] + rng.standard_normal((300, 5))
+    domain = _emb(points)
+    g = knn_mst(domain, 3)
+    assert g.mst_edges == kruskal_mst(points)
+    assert g.health["mst_rows_scanned"] > 0
+    assert g.health["mst_edges_outside_knn"] >= 29
+    monkeypatch.setattr(imputation, "_BLOCK_BYTES", 8 * len(points) * 5)
+    monkeypatch.setattr(imputation, "_MIN_BLOCK_ROWS", 1)
+    small = knn_mst(domain, 3)
+    np.testing.assert_array_equal(small.mst, g.mst)
+    np.testing.assert_array_equal(small.knn, g.knn)
+    assert small.health == g.health
 
 
 def test_k_too_large_rejected():
@@ -522,6 +546,7 @@ def test_pipeline_nothing_to_impute():
     assert res.converged
     assert res.iterations == 0
     assert res.residual == 0.0
+    assert res.graph_health == {}  # no neighbor graph is built
 
 
 def test_pipeline_zero_anchors_fatal():
