@@ -164,12 +164,21 @@ def _build(section: str, values: dict[str, Any]):
         raise InputError(f"invalid {section} configuration: {exc}") from None
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+# input digests by (resolved path, size, st_mtime_ns); main() starts one per call
+Digests = dict[tuple[str, int, int], str]
+
+
+def _sha256(path: Path, digests: Digests) -> str:
+    """The file's SHA-256, read once per `digests` while its size and mtime stay."""
+    st = path.stat()
+    key = (str(path.resolve()), st.st_size, st.st_mtime_ns)
+    if key not in digests:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+        digests[key] = h.hexdigest()
+    return digests[key]
 
 
 def write_manifest(
@@ -177,6 +186,7 @@ def write_manifest(
     stage: str,
     config: dict[str, Any],
     inputs: dict[str, Path],
+    digests: Digests,
     outputs: list[Path],
     started: float,
     health: dict[str, Any] | None = None,
@@ -187,7 +197,7 @@ def write_manifest(
         "config": config,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()
+            name: {"path": str(p), "sha256": _sha256(p, digests)} for name, p in inputs.items()
         },
         "outputs": [str(p) for p in outputs],
         "versions": {
@@ -231,6 +241,7 @@ class Run:
     cfg: dict[str, Any]  # the built config object per section
     inputs: dict[str, Path]  # checked input files, by manifest name
     out: Path
+    digests: Digests  # of manifest inputs, shared by every stage of one main() call
 
 
 # what a stage body returns for its manifest: the config record, outputs and health
@@ -248,7 +259,7 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
     module name `write_manifest`, which perfbench's tracer replaces.
     """
     def wrap(body):
-        def handler(ns, config) -> None:
+        def handler(ns, config, digests: Digests) -> None:
             started = time.time()
             values = {section: resolve_section(section, config, ns) for section in sections}
             # pipeline takes its input paths from flags or the config file's paths section
@@ -266,12 +277,12 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
             created = not out.exists()
             out.mkdir(parents=True, exist_ok=True)
             try:
-                record, outputs, health = body(Run(ns, config, values, cfg, found, out))
+                record, outputs, health = body(Run(ns, config, values, cfg, found, out, digests))
             except BaseException:
                 if created and not any(out.iterdir()):  # the body failed before writing a file
                     out.rmdir()
                 raise
-            write_manifest(out, name, record, found, outputs, started, health)
+            write_manifest(out, name, record, found, digests, outputs, started, health)
         return handler
     return wrap
 
@@ -281,7 +292,7 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
 
 @_stage("extract-graph", ("extraction",), {"dump": "--dump (N-Triples file)"})
 def cmd_extract_graph(run: Run) -> StageResult:
-    tset = parse_ntriples_file(str(run.inputs["dump"]))
+    tset = parse_ntriples_file(str(run.inputs["dump"]), run.cfg["extraction"])
     graph = extract_subgraph(tset, run.cfg["extraction"])
     stats = degree_stats(graph)
     nodes_path = run.out / "nodes.tsv"
@@ -291,7 +302,8 @@ def cmd_extract_graph(run: Run) -> StageResult:
           f"(skipped {tset.skipped} malformed lines, {tset.blank_node_lines} blank-node lines)")
     return run.values["extraction"], [nodes_path, edges_path], {
         **dataclasses.asdict(stats), "malformed_lines": tset.skipped,
-        "blank_node_lines": tset.blank_node_lines}
+        "blank_node_lines": tset.blank_node_lines, "typed_subjects": len(tset.row_filter.subjects),
+        "kept_rows": len(tset), "unkept_lines": tset.unkept_lines}
 
 
 @_stage("node2vec", ("walks", "sgns_graph"), {"nodes": "--nodes", "edges": "--edges"})
@@ -436,7 +448,7 @@ def cmd_pipeline(run: Run) -> StageResult:
     out = run.out
 
     def stage(handler, **changes: str) -> None:
-        handler(argparse.Namespace(**{**vars(run.ns), **changes}), run.config)
+        handler(argparse.Namespace(**{**vars(run.ns), **changes}), run.config, run.digests)
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
     dataset = load_wordpair_dataset(str(run.inputs["dataset"]))
@@ -542,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config_file(ns.config)
-        ns.func(ns, config)
+        ns.func(ns, config, {})  # no digest outlives the call: inputs may change between calls
         return 0
     except (InputError, EmbeddingFormatError, DatasetFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

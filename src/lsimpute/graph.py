@@ -6,7 +6,9 @@ Malformed lines are skipped with a warning count rather than aborting, since
 dump files are large and imperfect; lines with a blank node (``_:label``) as
 subject or object are counted apart and skipped too. Parsed triples are kept
 as integer columns over interned terms, so memory grows with the distinct
-terms, not with the lines.
+terms, not with the lines. Given an extraction config, a dump file is read
+twice and only the rows extraction reads are kept, so memory grows with the
+kept subgraph, not with the dump.
 """
 
 from __future__ import annotations
@@ -58,6 +60,21 @@ def _unescape(literal: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, literal)
 
 
+@dataclass(frozen=True)
+class RowFilter:
+    """The rows `extract_subgraph` reads of nodes typed in a first pass.
+
+    A row is kept when its subject is in `subjects` and it is a type row (the
+    type predicate with an IRI object), a label row (the label predicate with
+    a literal object) or an IRI link to another of `subjects`. Extraction
+    ignores every other row, or drops it as a link with an end never kept.
+    """
+
+    subjects: frozenset[str]
+    type_predicate: str
+    label_predicate: str
+
+
 @dataclass(eq=False)  # array fields: == would compare element-wise
 class TripleSet:
     """Parsed triples as columns over interned terms.
@@ -73,22 +90,26 @@ class TripleSet:
     is_literal: np.ndarray  # (m,) bool
     skipped: int = 0        # malformed lines
     blank_node_lines: int = 0  # well-formed lines with a blank-node subject or object; not kept
+    unkept_lines: int = 0   # other well-formed lines that `row_filter` did not keep
+    row_filter: RowFilter | None = None  # None: every well-formed line was kept
 
     def __len__(self) -> int:
         return len(self.triples)
 
 
-def parse_ntriples(lines: Iterable[str]) -> TripleSet:
+def parse_ntriples(lines: Iterable[str], keep: RowFilter | None = None) -> TripleSet:
     """Parse N-Triples-like lines; malformed lines are counted and skipped.
 
     Lines with a blank node as subject or object are counted apart, in
     `blank_node_lines`, and not kept, so a blank node never becomes a graph node.
+    With `keep`, other well-formed rows it rejects are counted in
+    `unkept_lines` and neither stored nor interned; without it, every one is kept.
     """
     term_ids: dict[str, int] = {}
     intern = term_ids.setdefault
     ids = array("i")
     is_literal = bytearray()
-    skipped = blank = 0
+    skipped = blank = unkept = 0
     for lineno, line in enumerate(lines, start=1):
         m = _TRIPLE_RE.match(line)
         if m is None:
@@ -103,6 +124,11 @@ def parse_ntriples(lines: Iterable[str]) -> TripleSet:
                 logger.warning("skipping malformed line %d: %s", lineno, stripped[:120])
             continue
         s, p, o, literal = m.groups()
+        if keep is not None and not (s in keep.subjects and (
+                (p == keep.type_predicate or o in keep.subjects) if literal is None
+                else p == keep.label_predicate)):
+            unkept += 1
+            continue
         if o is None:
             o = _unescape(literal)
         is_literal.append(literal is not None)
@@ -117,6 +143,8 @@ def parse_ntriples(lines: Iterable[str]) -> TripleSet:
         np.frombuffer(is_literal, dtype=np.bool_),
         skipped,
         blank,
+        unkept,
+        keep,
     )
 
 
@@ -126,9 +154,35 @@ def open_maybe_gzip(path: str, mode: str = "rt") -> TextIO:
     return open(path, mode, encoding="utf-8")
 
 
-def parse_ntriples_file(path: str) -> TripleSet:
+def _typed_subjects(lines: Iterable[str], cfg: ExtractionConfig) -> frozenset[str]:
+    """Subjects of the type rows that name one of cfg's node or bridge types."""
+    needle = f"<{cfg.type_predicate}>"  # every type row holds it; the regex runs on those only
+    types = cfg.node_types | cfg.bridge_types
+    subjects = set()
+    for line in lines:
+        if needle in line and (m := _TRIPLE_RE.match(line)):
+            s, p, o, _ = m.groups()
+            if p == cfg.type_predicate and o in types:
+                subjects.add(s)
+    return frozenset(subjects)
+
+
+def parse_ntriples_file(path: str, cfg: ExtractionConfig | None = None) -> TripleSet:
+    """Parse an N-Triples file, optionally .gz.
+
+    Without `cfg` every well-formed row is kept. With it the file is read
+    twice: the first pass collects the subjects typed as one of cfg's node or
+    bridge types, and the second keeps only the rows of them that
+    `extract_subgraph(..., cfg)` reads (see `RowFilter`). Extraction then
+    gives the graph a full parse gives, and memory grows with the kept
+    subgraph, not with the dump.
+    """
+    keep = None
+    if cfg is not None:
+        with open_maybe_gzip(path) as fh:
+            keep = RowFilter(_typed_subjects(fh, cfg), cfg.type_predicate, cfg.label_predicate)
     with open_maybe_gzip(path) as fh:
-        return parse_ntriples(fh)
+        return parse_ntriples(fh, keep)
 
 
 @dataclass

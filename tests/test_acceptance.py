@@ -345,7 +345,7 @@ def test_criterion_11_mesh_graph_counts():
         node_types={"http://id.nlm.nih.gov/mesh/vocab#TopicalDescriptor"},
         bridge_types={"http://id.nlm.nih.gov/mesh/vocab#Concept"},
     )
-    triples = parse_ntriples_file(MESH_DUMP)
+    triples = parse_ntriples_file(MESH_DUMP, cfg)
     graph = extract_subgraph(triples, cfg)
     assert graph.n_nodes == 58_695
     assert graph.n_edges == 113_094

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lsimpute import EmbeddingMatrix, knn_mst, read_embeddings, write_embeddings
+from lsimpute import cli
 from lsimpute.cli import main
 from lsimpute.evaluation import load_wordpair_dataset
 from lsimpute.walks import read_corpus
@@ -123,6 +125,7 @@ def test_extract_graph_subcommand(fixture_files):
     assert manifest["health"] == {
         "n_nodes": 20, "n_edges": 40, "min_degree": 4, "max_degree": 4, "mean_degree": 4.0,
         "isolated_nodes": 0, "malformed_lines": 0, "blank_node_lines": 0,
+        "typed_subjects": 20, "kept_rows": 80, "unkept_lines": 0,
     }
 
 
@@ -392,7 +395,7 @@ def test_extract_graph_reports_malformed_and_blank_node_lines(tmp_path, capsys):
     dump.write_text(
         f"<a> <{RDF_TYPE}> <T> .\n<b> <{RDF_TYPE}> <T> .\n<a> <linked> <b> .\n"
         f'<a> <{RDFS_LABEL}> "A" .\n<b> <{RDFS_LABEL}> "B" .\n'
-        "_:x <linked> <a> .\n<b> <linked> _:y .\nnot a triple\n",
+        "_:x <linked> <a> .\n<b> <linked> _:y .\nnot a triple\n<a> <note> \"scope note\" .\n",
         encoding="utf-8",
     )
     code = main(["extract-graph", "--dump", str(dump), "--node-type", "T",
@@ -402,6 +405,29 @@ def test_extract_graph_reports_malformed_and_blank_node_lines(tmp_path, capsys):
             in capsys.readouterr().out)
     health = json.loads((tmp_path / "out" / "extract_graph_manifest.json").read_text())["health"]
     assert (health["malformed_lines"], health["blank_node_lines"]) == (1, 2)
+    assert (health["typed_subjects"], health["kept_rows"], health["unkept_lines"]) == (2, 5, 1)
+
+
+def test_each_input_is_hashed_once_per_main_call(fixture_files, monkeypatch):
+    files, tmp_path = fixture_files
+    hashed = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        if mode == "rb":  # the manifest digest reads each input this way
+            hashed.append(Path(path).resolve())
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["--config", str(files["config"]), "pipeline", "--dump", str(files["dump"]),
+                 "--corpus", str(files["corpus"]), "--dataset", str(files["dataset"]),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    # the pipeline's stages name the dump, corpus, dataset and imputed vocab again
+    assert sorted(hashed) == sorted(set(hashed))
+    assert {files[name].resolve() for name in ("dump", "corpus", "dataset")} <= set(hashed)
+    hashed.clear()
+    assert main(["extract-graph", "--dump", str(files["dump"]), "--node-type", "ConceptType",
+                 "--out-dir", str(tmp_path / "graph")]) == 0
+    assert hashed == [files["dump"].resolve()]  # a new call reads its inputs again
 
 
 def test_pipeline_reads_paths_from_config(fixture_files):

@@ -226,23 +226,77 @@ def _random_dump(rng: np.random.Generator) -> list[tuple[str, str, str, bool]]:
     return rows
 
 
+def _random_case(rng: np.random.Generator):
+    """A `_random_dump`, its lines, an extraction config over its names, and
+    `reference_extraction`'s node IDs, labels and edges for them."""
+    rows = _random_dump(rng)
+    lines = [f'<{s}> <{p}> "{o}" .' if lit else f"<{s}> <{p}> <{o}> ." for s, p, o, lit in rows]
+    node_types = {str(t) for t in rng.choice(["T", "U", "X"], size=int(rng.integers(1, 3)))}
+    bridge_types = set() if rng.random() < 0.3 else {"B", "C"}
+    predicates = [(LABEL, TYPE), ("rel", TYPE), (LABEL, "sub")]
+    label_predicate, type_predicate = predicates[int(rng.integers(0, len(predicates)))]
+    cfg = ExtractionConfig(node_types, bridge_types, label_predicate, type_predicate)
+    reference = reference_extraction(rows, node_types, bridge_types, label_predicate, type_predicate)
+    return lines, cfg, reference
+
+
+def _assert_graph(g, reference) -> None:
+    node_ids, labels, edges = reference
+    assert g.node_ids == node_ids
+    assert g.labels == labels
+    assert {(g.node_ids[i], g.node_ids[j]) for i, j in g.edges.tolist()} == edges
+
+
 def test_extract_matches_reference_extraction():
     rng = np.random.default_rng(11)
-    predicates = [(LABEL, TYPE), ("rel", TYPE), (LABEL, "sub")]
     for _ in range(300):
-        rows = _random_dump(rng)
-        lines = [f'<{s}> <{p}> "{o}" .' if lit else f"<{s}> <{p}> <{o}> ." for s, p, o, lit in rows]
-        node_types = {str(t) for t in rng.choice(["T", "U", "X"], size=int(rng.integers(1, 3)))}
-        bridge_types = set() if rng.random() < 0.3 else {"B", "C"}
-        label_predicate, type_predicate = predicates[int(rng.integers(0, len(predicates)))]
-        cfg = ExtractionConfig(node_types, bridge_types, label_predicate, type_predicate)
-        g = extract_subgraph(parse_ntriples(lines), cfg)
-        node_ids, labels, edges = reference_extraction(
-            rows, node_types, bridge_types, label_predicate, type_predicate
-        )
-        assert g.node_ids == node_ids
-        assert g.labels == labels
-        assert {(g.node_ids[i], g.node_ids[j]) for i, j in g.edges.tolist()} == edges
+        lines, cfg, reference = _random_case(rng)
+        _assert_graph(extract_subgraph(parse_ntriples(lines), cfg), reference)
+
+
+def test_two_pass_file_parse_extracts_the_same_graph(tmp_path):
+    rng = np.random.default_rng(12)
+    odd_lines = ["_:b0 <rel> <n0> .", '<n1> <sub> _:b1 .', "not a triple", "# comment", ""]
+    for case in range(150):
+        lines, cfg, reference = _random_case(rng)
+        lines += odd_lines[: case % (len(odd_lines) + 1)]
+        full = parse_ntriples(lines)
+        _assert_graph(extract_subgraph(full, cfg), reference)
+        for path, opener in ((tmp_path / "dump.nt", open), (tmp_path / "dump.nt.gz", gzip.open)):
+            with opener(path, "wt", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            kept = parse_ntriples_file(str(path), cfg)
+            _assert_graph(extract_subgraph(kept, cfg), reference)
+            assert (kept.skipped, kept.blank_node_lines) == (full.skipped, full.blank_node_lines)
+            assert len(kept) + kept.unkept_lines == len(full)
+
+
+def _dump_with_noise(path, n_noise: int) -> None:
+    """Five labeled, linked descriptors, plus `n_noise` entry terms of another
+    type, each with a label, a note, links to and from other names, and a
+    note on one descriptor."""
+    lines = []
+    for d in range(5):
+        lines += [f"<d{d}> <{TYPE}> <Descriptor> .", f'<d{d}> <{LABEL}> "Descriptor {d}" .',
+                  f"<d{d}> <broader> <d{(d + 1) % 5}> ."]
+    for t in range(n_noise):
+        lines += [f"<t{t}> <{TYPE}> <Term> .", f'<t{t}> <{LABEL}> "term {t}" .',
+                  f'<t{t}> <note> "scope note {t}" .', f"<d{t % 5}> <preferredTerm> <t{t}> .",
+                  f"<t{t}> <related> <t{(t + 1) % n_noise}> .", f'<d{t % 5}> <note> "note {t}" .']
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_two_pass_parse_stores_no_more_for_more_untyped_terms(tmp_path):
+    cfg = ExtractionConfig({"Descriptor"})
+    sizes = []
+    for n_noise in (10, 1000):
+        path = tmp_path / f"dump{n_noise}.nt"
+        _dump_with_noise(path, n_noise)
+        tset = parse_ntriples_file(str(path), cfg)
+        assert extract_subgraph(tset, cfg).n_edges == 5
+        assert tset.unkept_lines == 6 * n_noise
+        sizes.append((len(tset.terms), len(tset.triples)))
+    assert sizes[0] == sizes[1]
 
 
 def test_config_requires_node_types():
