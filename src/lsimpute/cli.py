@@ -5,8 +5,9 @@ align-baseline, evaluate, pipeline. Values resolve as: command-line flag
 beats config-file value beats built-in default. Each command checks its
 config values, input files and output paths before it creates --out-dir, so
 one that exits 1 on any of them writes nothing. On success it writes a JSON
-manifest (inputs with digests, resolved config, config hash, versions,
-timing) next to its artifacts; a command that exits 1 writes no manifest.
+manifest (inputs with the digests they had when the command started, resolved
+config, config hash, versions, timing) next to its artifacts; a command that
+exits 1 writes no manifest.
 
 Exit codes: 0 ok, 1 input or configuration error, 2 internal error.
 Log level comes from the LSIMPUTE_LOG_LEVEL environment variable.
@@ -185,8 +186,7 @@ def write_manifest(
     out_dir: Path,
     stage: str,
     config: dict[str, Any],
-    inputs: dict[str, Path],
-    digests: Digests,
+    inputs: dict[str, dict[str, str]],
     outputs: list[Path],
     started: float,
     health: dict[str, Any] | None = None,
@@ -196,9 +196,7 @@ def write_manifest(
         "stage": stage,
         "config": config,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p, digests)} for name, p in inputs.items()
-        },
+        "inputs": inputs,
         "outputs": [str(p) for p in outputs],
         "versions": {
             "lsimpute": __version__,
@@ -253,10 +251,12 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
     """Make `body(run) -> StageResult` the handler of stage `name`.
 
     Every config section, input file (the `optional` ones all or none) and
-    --merged-out or --walks-out directory is checked before --out-dir is
-    created; if the body fails, a --out-dir it created and left empty is
-    removed. The manifest is written when the body returns, through the
-    module name `write_manifest`, which perfbench's tracer replaces.
+    --merged-out or --walks-out path is checked, and every input hashed,
+    before --out-dir is created; a --merged-out or --walks-out that is one of
+    the inputs is refused. If the body fails, a --out-dir it created and left
+    empty is removed. The manifest, with the digests of the inputs as the body
+    read them, is written when the body returns, through the module name
+    `write_manifest`, which perfbench's tracer replaces.
     """
     def wrap(body):
         def handler(ns, config, digests: Digests) -> None:
@@ -270,10 +270,15 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
             cfg = {section: _build(section, v) for section, v in values.items()}
             out = Path(ns.out_dir)
             for dest in ("merged_out", "walks_out"):  # outputs that may lie outside --out-dir
-                target = getattr(ns, dest, None)
+                target, flag = getattr(ns, dest, None), "--" + dest.replace("_", "-")
                 parent = Path(target).parent if target else out
                 if not parent.is_dir() and parent.resolve() != out.resolve():
-                    raise InputError(f"--{dest.replace('_', '-')} directory does not exist: {parent}")
+                    raise InputError(f"{flag} directory does not exist: {parent}")
+                if target and os.path.exists(target) and any(
+                        os.path.samefile(target, p) for p in found.values()):
+                    raise InputError(f"{flag} {target} is an input of this stage")
+            hashed = {key: {"path": str(p), "sha256": _sha256(p, digests)}
+                      for key, p in found.items()}
             created = not out.exists()
             out.mkdir(parents=True, exist_ok=True)
             try:
@@ -282,7 +287,7 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
                 if created and not any(out.iterdir()):  # the body failed before writing a file
                     out.rmdir()
                 raise
-            write_manifest(out, name, record, found, digests, outputs, started, health)
+            write_manifest(out, name, record, hashed, outputs, started, health)
         return handler
     return wrap
 
@@ -447,7 +452,7 @@ def cmd_pipeline(run: Run) -> StageResult:
     """Chain split, filter, train, extract, embed, impute and evaluate (not align-baseline)."""
     out = run.out
 
-    def stage(handler, **changes: str) -> None:
+    def stage(handler, **changes: str | None) -> None:
         handler(argparse.Namespace(**{**vars(run.ns), **changes}), run.config, run.digests)
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
@@ -470,9 +475,9 @@ def cmd_pipeline(run: Run) -> StageResult:
     # 6. impute missing vectors and merge into the trained model
     merged_path = Path(run.ns.merged_out) if run.ns.merged_out else out / "merged.vec"
     stage(cmd_impute, semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
-    # 7. evaluate the imputed model
+    # 7. evaluate the imputed model; the merged file is its input here, not an output
     stage(cmd_evaluate, embeddings=str(merged_path), dataset=str(run.inputs["dataset"]),
-          trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
+          trained_vocab=str(trained_path), imputed_vocab=str(imputed_path), merged_out=None)
     print(f"pipeline finished; artifacts and manifests in {out}")
     return run.values, [merged_path, out / "eval_report.json"], None
 

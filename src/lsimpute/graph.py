@@ -30,14 +30,11 @@ RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 
 _IRI = r"<([^<>\s]*)>"
+_BNODE = r"(_:[^\s<>\"]+)"  # a blank node, which N-Triples allows as subject or object
 # the unrolled form of "((?:[^"\\]|\\.)*)": the same groups, fewer backtracking steps
 _LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"(?:\^\^<[^<>\s]*>|@[A-Za-z0-9-]+)?'
+# groups: subject IRI, blank subject, predicate, object IRI, blank object, literal
 _TRIPLE_RE = re.compile(
-    rf"^\s*{_IRI}\s+{_IRI}\s+(?:{_IRI}|{_LITERAL})\s*\.\s*$"
-)
-# a line that is a triple once blank nodes (_:label) may stand as subject or object
-_BNODE = r"_:[^\s<>\"]+"
-_BLANK_NODE_RE = re.compile(
     rf"^\s*(?:{_IRI}|{_BNODE})\s+{_IRI}\s+(?:{_IRI}|{_BNODE}|{_LITERAL})\s*\.\s*$"
 )
 # ECHAR and UCHAR of W3C RDF 1.1 N-Triples, section 2.4
@@ -114,16 +111,15 @@ def parse_ntriples(lines: Iterable[str], keep: RowFilter | None = None) -> Tripl
         m = _TRIPLE_RE.match(line)
         if m is None:
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if _BLANK_NODE_RE.match(line):
-                blank += 1
-                continue
-            skipped += 1
-            if skipped <= 5:
-                logger.warning("skipping malformed line %d: %s", lineno, stripped[:120])
+            if stripped and not stripped.startswith("#"):
+                skipped += 1
+                if skipped <= 5:
+                    logger.warning("skipping malformed line %d: %s", lineno, stripped[:120])
             continue
-        s, p, o, literal = m.groups()
+        s, s_blank, p, o, o_blank, literal = m.groups()
+        if s_blank or o_blank:
+            blank += 1
+            continue
         if keep is not None and not (s in keep.subjects and (
                 (p == keep.type_predicate or o in keep.subjects) if literal is None
                 else p == keep.label_predicate)):
@@ -155,14 +151,14 @@ def open_maybe_gzip(path: str, mode: str = "rt") -> TextIO:
 
 
 def _typed_subjects(lines: Iterable[str], cfg: ExtractionConfig) -> frozenset[str]:
-    """Subjects of the type rows that name one of cfg's node or bridge types."""
+    """IRI subjects, never blank nodes, of type rows naming one of cfg's node or bridge types."""
     needle = f"<{cfg.type_predicate}>"  # every type row holds it; the regex runs on those only
     types = cfg.node_types | cfg.bridge_types
     subjects = set()
     for line in lines:
         if needle in line and (m := _TRIPLE_RE.match(line)):
-            s, p, o, _ = m.groups()
-            if p == cfg.type_predicate and o in types:
+            s, _, p, o, _, _ = m.groups()
+            if s is not None and p == cfg.type_predicate and o in types:
                 subjects.add(s)
     return frozenset(subjects)
 
@@ -261,57 +257,36 @@ def extract_subgraph(tset: TripleSet, cfg: ExtractionConfig) -> LabeledGraph:
     undirected edge; duplicates collapse away. A node's first label row gives
     its label; kept nodes missing a label are excluded and logged.
     """
-    wanted = {cfg.type_predicate, cfg.label_predicate, *cfg.node_types, *cfg.bridge_types}
-    found = {t: i for i, t in enumerate(tset.terms) if t in wanted}
-    n_terms = len(tset.terms)
-    subj, pred, obj = tset.triples.T
-    iri = ~tset.is_literal
-
-    is_type = iri & (pred == found.get(cfg.type_predicate, -1))
-    type_subj, type_obj = subj[is_type], obj[is_type]
-
-    def typed(types: set[str]) -> np.ndarray:
-        """Mask over term ids: subjects of a type row naming one of `types`."""
-        mask = np.zeros(n_terms, dtype=bool)
-        type_ids = [found[t] for t in types if t in found]
-        mask[type_subj[np.isin(type_obj, type_ids)]] = True
-        return mask
-
-    is_link = iri & ~is_type & (subj != obj)
-    link_subj, link_obj = subj[is_link], obj[is_link]
-
-    kept = typed(cfg.node_types)
-    if cfg.bridge_types:
-        candidate = typed(cfg.bridge_types)
-        bridged = np.zeros(n_terms, dtype=bool)
-        bridged[link_obj[kept[link_subj] & candidate[link_obj]]] = True
-        bridged[link_subj[kept[link_obj] & candidate[link_subj]]] = True
-        kept |= bridged
-
-    is_label = tset.is_literal & (pred == found.get(cfg.label_predicate, -1))
-    label_subj, label_obj = subj[is_label], obj[is_label]
-    labeled, first = np.unique(label_subj, return_index=True)
-    label_of = np.full(n_terms, -1, dtype=np.int64)
-    label_of[labeled] = label_obj[first]
-    conflicting = int((label_obj != label_of[label_subj]).sum())
+    terms = tset.terms
+    type_id, label_id = (terms.index(t) if t in terms else -1
+                         for t in (cfg.type_predicate, cfg.label_predicate))
+    primary, candidates, links = set(), set(), []
+    label_of, conflicting = {}, 0  # subject id -> first label id; label rows that differ
+    for (s, p, o), literal in zip(tset.triples.tolist(), tset.is_literal.tolist()):
+        if literal:
+            if p == label_id:
+                conflicting += label_of.setdefault(s, o) != o
+        elif p == type_id:
+            if terms[o] in cfg.node_types:
+                primary.add(s)
+            if terms[o] in cfg.bridge_types:
+                candidates.add(s)
+        elif s != o:
+            links.append((s, o))
     if conflicting:
         logger.debug("%d label rows differ from their node's first label; keeping the first",
                      conflicting)
 
-    unlabeled = kept & (label_of < 0)
-    if unlabeled.any():
-        logger.warning("excluding %d kept nodes without a label", int(unlabeled.sum()))
-        kept &= ~unlabeled
-
-    terms = tset.terms
-    kept_ids = sorted(np.flatnonzero(kept).tolist(), key=terms.__getitem__)
-    node_of = np.full(n_terms, -1, dtype=np.int64)
-    node_of[kept_ids] = np.arange(len(kept_ids))
-    i, j = node_of[link_subj], node_of[link_obj]
-    both = (i >= 0) & (j >= 0)  # filtered before stacking: one link-sized copy at a time
-    pairs = np.sort(np.column_stack((i[both], j[both])), axis=1)
-    labels = [terms[t] for t in label_of[kept_ids].tolist()]
-    return LabeledGraph([terms[t] for t in kept_ids], labels, pairs)
+    kept = primary | {b for link in links for a, b in (link, link[::-1])
+                      if a in primary and b in candidates}
+    unlabeled = kept.difference(label_of)
+    if unlabeled:
+        logger.warning("excluding %d kept nodes without a label", len(unlabeled))
+        kept -= unlabeled
+    order = sorted(kept, key=terms.__getitem__)
+    index = {t: i for i, t in enumerate(order)}
+    pairs = [sorted((index[s], index[o])) for s, o in links if s in index and o in index]
+    return LabeledGraph([terms[t] for t in order], [terms[label_of[t]] for t in order], pairs)
 
 
 @dataclass(frozen=True)

@@ -71,14 +71,6 @@ def _weight(s: WalkSampler, t: int, x: int) -> float:
     return s.weights[1] if x in s.neighbor_sets[t] else s.weights[2]
 
 
-def transition_probabilities(s: WalkSampler, t: int, v: int) -> np.ndarray:
-    """Normalized transition distribution over v's neighbors for state (t -> v)."""
-    if t not in s.neighbor_sets[v]:
-        raise ValueError(f"{t} is not a neighbor of {v}")
-    weights = np.array([_weight(s, t, x) for x in s.neighbors[v].tolist()])
-    return weights / weights.sum()
-
-
 def _single_walk(s: WalkSampler, start: int, length: int, rng: np.random.Generator) -> list[int]:
     # Rejection step: draw a neighbor x uniformly, then u, and accept when
     # u * max(weights) < weight(prev, x); the first step accepts every draw.

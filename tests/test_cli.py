@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 from pathlib import Path
 
@@ -105,6 +106,47 @@ def test_bad_value_exits_before_out_dir_is_created(tmp_path, capsys, case):
     assert named in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "nodir").exists()
+
+
+# an output flag that names one of the stage's inputs, and that input's {name}
+OVERWRITING_RUNS = {
+    "impute --merged-out its --semantic": (
+        ["impute", "--semantic", "{semantic}", "--domain", "{domain}", "--k", "2",
+         "--merged-out", "{semantic}"], "semantic"),
+    "node2vec --walks-out its --nodes": (
+        ["node2vec", "--nodes", "{nodes}", "--edges", "{edges}", "--walks-out", "{nodes}"],
+        "nodes"),
+    "pipeline --merged-out its --dataset": (
+        ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}", "--merged-out", "{dataset}"], "dataset"),
+}
+
+
+@pytest.mark.parametrize("case", OVERWRITING_RUNS)
+def test_output_flag_naming_an_input_is_refused(tmp_path, capsys, case):
+    argv, name = OVERWRITING_RUNS[case]
+    paths = _stage_inputs(tmp_path)
+    before = Path(paths[name]).read_bytes()
+    out = tmp_path / "new_out"
+    assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]) == 1
+    assert "is an input of this stage" in capsys.readouterr().err
+    assert Path(paths[name]).read_bytes() == before
+    assert not out.exists()
+
+
+def test_manifest_records_input_digest_from_before_the_run(tmp_path):
+    # the input has the name of impute's fixed output, so the run replaces it
+    paths = _stage_inputs(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    semantic = out / "imputed.vec"
+    semantic.write_bytes(Path(paths["semantic"]).read_bytes())
+    before = hashlib.sha256(semantic.read_bytes()).hexdigest()
+    assert main(["impute", "--semantic", str(semantic), "--domain", paths["domain"], "--k", "2",
+                 "--out-dir", str(out)]) == 0
+    assert hashlib.sha256(semantic.read_bytes()).hexdigest() != before
+    manifest = json.loads((out / "impute_manifest.json").read_text())
+    assert manifest["inputs"]["semantic"]["sha256"] == before
 
 
 def test_extract_graph_subcommand(fixture_files):

@@ -260,7 +260,9 @@ def test_two_pass_file_parse_extracts_the_same_graph(tmp_path):
     for case in range(150):
         lines, cfg, reference = _random_case(rng)
         lines += odd_lines[: case % (len(odd_lines) + 1)]
+        lines.append(f"_:b2 <{cfg.type_predicate}> <{min(cfg.node_types)}> .")  # a typed blank node
         full = parse_ntriples(lines)
+        assert full.blank_node_lines == 1 + min(case % (len(odd_lines) + 1), 2)
         _assert_graph(extract_subgraph(full, cfg), reference)
         for path, opener in ((tmp_path / "dump.nt", open), (tmp_path / "dump.nt.gz", gzip.open)):
             with opener(path, "wt", encoding="utf-8") as fh:
@@ -269,6 +271,7 @@ def test_two_pass_file_parse_extracts_the_same_graph(tmp_path):
             _assert_graph(extract_subgraph(kept, cfg), reference)
             assert (kept.skipped, kept.blank_node_lines) == (full.skipped, full.blank_node_lines)
             assert len(kept) + kept.unkept_lines == len(full)
+            assert kept.row_filter.subjects <= set(full.terms)  # no blank node among them
 
 
 def _dump_with_noise(path, n_noise: int) -> None:

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsimpute import LabeledGraph, WalkConfig, build_transition_tables, generate_walks
-from lsimpute.walks import (
-    _single_walk, node_tokens, read_corpus, transition_probabilities, write_corpus,
-)
+from lsimpute.walks import WalkSampler, _single_walk, _weight, node_tokens, read_corpus, write_corpus
 
 
 def _triangle() -> LabeledGraph:
@@ -26,6 +24,14 @@ def _path(n: int) -> LabeledGraph:
 
 def _directed_edges(g: LabeledGraph) -> list[tuple[int, int]]:
     return [e for i, j in g.edges.tolist() for e in ((i, j), (j, i))]
+
+
+def transition_probabilities(s: WalkSampler, t: int, v: int) -> np.ndarray:
+    """The sampler's normalized step distribution over v's neighbors for state (t -> v)."""
+    if t not in s.neighbor_sets[v]:
+        raise ValueError(f"{t} is not a neighbor of {v}")
+    weights = np.array([_weight(s, t, x) for x in s.neighbors[v].tolist()])
+    return weights / weights.sum()
 
 
 def _three_case_rule(g: LabeledGraph, t: int, v: int, p: float, q: float) -> np.ndarray:
