@@ -1,13 +1,15 @@
 """Command-line pipeline: each subcommand runs one stage and writes a run manifest.
 
-Subcommands: extract-graph, node2vec, train-sgns, filter-corpus, impute,
-align-baseline, evaluate, pipeline. Values resolve as: command-line flag
-beats config-file value beats built-in default. Each command checks its
-config values, input files and output paths before it creates --out-dir, so
-one that exits 1 on any of them writes nothing. On success it writes a JSON
-manifest (inputs with the digests they had when the command started, resolved
-config, config hash, versions, timing) next to its artifacts; a command that
-exits 1 writes no manifest.
+Each command is declared once: its config sections, its input flags, the
+files it writes in --out-dir and its output flags. Its flags and its checks
+both come from that declaration. Values resolve as: command-line flag beats
+config-file value beats built-in default. Each command checks its config
+values, input files and output paths before it creates --out-dir (no output
+may be an input, another output or a directory), so one that exits 1 on any
+of them writes nothing. On success it writes a JSON manifest (inputs with the
+digests they had when the command started, outputs, resolved config, config
+hash, versions, timing) next to its artifacts; a command that exits 1 writes
+no manifest.
 
 Exit codes: 0 ok, 1 input or configuration error, 2 internal error.
 Log level comes from the LSIMPUTE_LOG_LEVEL environment variable.
@@ -24,7 +26,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, NamedTuple, NoReturn
 
 import numpy as np
 import scipy
@@ -32,28 +34,11 @@ import scipy
 from . import __version__
 from .alignment import align_baseline, write_map
 from .corpus import filter_corpus_file
-from .embeddings import (
-    EmbeddingFormatError,
-    merge_embeddings,
-    read_embeddings,
-    write_embeddings,
-)
-from .evaluation import (
-    DatasetFormatError,
-    EvaluateConfig,
-    bootstrap_eval,
-    classify_pairs,
-    load_wordpair_dataset,
-    split_vocab,
-)
-from .graph import (
-    ExtractionConfig,
-    degree_stats,
-    extract_subgraph,
-    parse_ntriples_file,
-    read_graph_tsv,
-    write_graph_tsv,
-)
+from .embeddings import EmbeddingFormatError, merge_embeddings, read_embeddings, write_embeddings
+from .evaluation import (DatasetFormatError, EvaluateConfig, bootstrap_eval, classify_pairs,
+                         load_wordpair_dataset, split_vocab)
+from .graph import (ExtractionConfig, degree_stats, extract_subgraph, parse_ntriples_file,
+                    read_graph_tsv, write_graph_tsv)
 from .imputation import LsiConfig, lsi_pipeline
 from .sgns import SgnsConfig, train_sgns_full
 from .walks import WalkConfig, build_transition_tables, generate_walks, read_corpus, write_corpus
@@ -182,15 +167,13 @@ def _sha256(path: Path, digests: Digests) -> str:
     return digests[key]
 
 
-def write_manifest(
-    out_dir: Path,
-    stage: str,
-    config: dict[str, Any],
-    inputs: dict[str, dict[str, str]],
-    outputs: list[Path],
-    started: float,
-    health: dict[str, Any] | None = None,
-) -> Path:
+def _manifest_name(stage: str) -> str:
+    return stage.replace("-", "_") + "_manifest.json"
+
+
+def write_manifest(out_dir: Path, stage: str, config: dict[str, Any],
+                   inputs: dict[str, dict[str, str]], outputs: list[Path], started: float,
+                   health: dict[str, Any] | None = None) -> None:
     canonical = json.dumps(config, sort_keys=True, default=str)
     manifest = {
         "stage": stage,
@@ -198,19 +181,14 @@ def write_manifest(
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "inputs": inputs,
         "outputs": [str(p) for p in outputs],
-        "versions": {
-            "lsimpute": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": {"lsimpute": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "python": sys.version.split()[0]},
         "elapsed_seconds": round(time.time() - started, 3),
     }
     if health is not None:
         manifest["health"] = health
-    path = out_dir / f"{stage.replace('-', '_')}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    return path
+    (out_dir / _manifest_name(stage)).write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                                 encoding="utf-8")
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -229,6 +207,33 @@ def _read_terms(path: Path) -> set[str]:
 # ---------------------------------------------------------------------------
 # the stage runner
 
+class Stage(NamedTuple):
+    """A command as declared to `_stage`; the parser and the stage runner both read it."""
+
+    name: str
+    help: str
+    sections: tuple[str, ...]  # config sections, one flag per field
+    inputs: dict[str, str | None]  # required input flags (by dest) and their help
+    outputs: tuple[str, ...]  # fixed file names in --out-dir, besides the manifest
+    flags: dict[str, str | None] = {}  # output flags, and the file in --out-dir each defaults to
+    optional: dict[str, str | None] = {}  # input flags given all or none
+
+
+STAGES: dict[str, Stage] = {}  # in the order the parser lists them
+
+_OUTPUT_HELP = {"merged_out": "write the semantic vectors merged with the new ones here",
+                "walks_out": "write the walk corpus here"}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _handler(stage: str):
+    # through the module's globals, where perfbench's tracer replaces each cmd_*
+    return globals()["cmd_" + stage.replace("-", "_")]
+
+
 @dataclasses.dataclass(frozen=True)
 class Run:
     """What a stage body is given once every check has passed."""
@@ -239,55 +244,76 @@ class Run:
     cfg: dict[str, Any]  # the built config object per section
     inputs: dict[str, Path]  # checked input files, by manifest name
     out: Path
+    outputs: tuple[Path, ...]  # the declared outputs, then each output flag given or defaulted
     digests: Digests  # of manifest inputs, shared by every stage of one main() call
 
 
-# what a stage body returns for its manifest: the config record, outputs and health
-StageResult = tuple[dict[str, Any], list[Path], dict[str, Any] | None]
+# what a stage body returns for its manifest: the config record and health
+StageResult = tuple[dict[str, Any], dict[str, Any] | None]
 
 
-def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
-           optional: dict[str, str] | None = None):
-    """Make `body(run) -> StageResult` the handler of stage `name`.
+def _outputs(stage: Stage, ns, out: Path, inputs: dict[str, Path]) -> tuple[Path, ...]:
+    """`Run.outputs`, once none of them, nor the manifest, is an input, another output or a
+    directory, and the directory of each output flag exists (or is --out-dir)."""
+    flagged = {dest: Path(getattr(ns, dest) or out / default)
+               for dest, default in stage.flags.items() if getattr(ns, dest) or default}
+    for dest, path in flagged.items():
+        if not path.parent.is_dir() and path.parent.resolve() != out.resolve():
+            raise InputError(f"{_flag(dest)} directory does not exist: {path.parent}")
+    fixed = [out / file for file in stage.outputs]
+    named = {str(path): path for path in (*fixed, out / _manifest_name(stage.name))}
+    named.update({f"{_flag(dest)} {path}": path for dest, path in flagged.items()})
+    seen: dict[Path, str] = {}
+    for label, path in named.items():
+        if path.is_dir():
+            raise InputError(f"{label} is a directory")
+        for key, given in inputs.items():
+            if path.exists() and os.path.samefile(path, given):
+                raise InputError(f"{label} is an input of this stage: it is the input {key} "
+                                 f"({given})")
+        if (first := seen.setdefault(path.resolve(), label)) != label:
+            raise InputError(f"{label} is also {first}, another output of this stage")
+    return (*fixed, *flagged.values())
+
+
+def _stage(*declaration, **keywords):
+    """Declare a `Stage` and make `body(run) -> StageResult` its handler.
 
     Every config section, input file (the `optional` ones all or none) and
-    --merged-out or --walks-out path is checked, and every input hashed,
-    before --out-dir is created; a --merged-out or --walks-out that is one of
-    the inputs is refused. If the body fails, a --out-dir it created and left
-    empty is removed. The manifest, with the digests of the inputs as the body
-    read them, is written when the body returns, through the module name
+    output is checked, and every input hashed, before --out-dir is created. If
+    the body fails, a --out-dir it created and left empty is removed. When it
+    returns, the manifest is written, with the digests of the inputs as the
+    body read them and `Run.outputs`, through the module name
     `write_manifest`, which perfbench's tracer replaces.
     """
+    stage = Stage(*declaration, **keywords)
+    STAGES[stage.name] = stage
+
     def wrap(body):
         def handler(ns, config, digests: Digests) -> None:
             started = time.time()
-            values = {section: resolve_section(section, config, ns) for section in sections}
+            values = {section: resolve_section(section, config, ns) for section in stage.sections}
             # pipeline takes its input paths from flags or the config file's paths section
             given = {**vars(ns), **{_RENAMES.get(("paths", key), key): path
                                     for key, path in values.pop("paths", {}).items()}}
-            wanted = {**inputs, **optional} if optional and any(map(given.get, optional)) else inputs
-            found = {key: _require_file(given.get(key), what) for key, what in wanted.items()}
+            optional = stage.optional if any(map(given.get, stage.optional)) else {}
+            hint = " (or the config's paths section)" if "paths" in stage.sections else ""
+            found = {key: _require_file(given.get(key), _flag(key) + hint)
+                     for key in {**stage.inputs, **optional}}
             cfg = {section: _build(section, v) for section, v in values.items()}
             out = Path(ns.out_dir)
-            for dest in ("merged_out", "walks_out"):  # outputs that may lie outside --out-dir
-                target, flag = getattr(ns, dest, None), "--" + dest.replace("_", "-")
-                parent = Path(target).parent if target else out
-                if not parent.is_dir() and parent.resolve() != out.resolve():
-                    raise InputError(f"{flag} directory does not exist: {parent}")
-                if target and os.path.exists(target) and any(
-                        os.path.samefile(target, p) for p in found.values()):
-                    raise InputError(f"{flag} {target} is an input of this stage")
+            outputs = _outputs(stage, ns, out, found)
             hashed = {key: {"path": str(p), "sha256": _sha256(p, digests)}
                       for key, p in found.items()}
             created = not out.exists()
             out.mkdir(parents=True, exist_ok=True)
             try:
-                record, outputs, health = body(Run(ns, config, values, cfg, found, out, digests))
+                record, health = body(Run(ns, config, values, cfg, found, out, outputs, digests))
             except BaseException:
                 if created and not any(out.iterdir()):  # the body failed before writing a file
                     out.rmdir()
                 raise
-            write_manifest(out, name, record, hashed, outputs, started, health)
+            write_manifest(out, stage.name, record, hashed, list(outputs), started, health)
         return handler
     return wrap
 
@@ -295,129 +321,121 @@ def _stage(name: str, sections: tuple[str, ...], inputs: dict[str, str],
 # ---------------------------------------------------------------------------
 # stage handlers
 
-@_stage("extract-graph", ("extraction",), {"dump": "--dump (N-Triples file)"})
+@_stage("extract-graph", "typed subgraph of an N-Triples dump", ("extraction",),
+        {"dump": "N-Triples file, optionally .gz"}, ("nodes.tsv", "edges.tsv"))
 def cmd_extract_graph(run: Run) -> StageResult:
     tset = parse_ntriples_file(str(run.inputs["dump"]), run.cfg["extraction"])
     graph = extract_subgraph(tset, run.cfg["extraction"])
     stats = degree_stats(graph)
-    nodes_path = run.out / "nodes.tsv"
-    edges_path = run.out / "edges.tsv"
+    nodes_path, edges_path = run.outputs
     write_graph_tsv(graph, str(nodes_path), str(edges_path))
     print(f"extracted {stats.n_nodes} nodes and {stats.n_edges} edges "
           f"(skipped {tset.skipped} malformed lines, {tset.blank_node_lines} blank-node lines)")
-    return run.values["extraction"], [nodes_path, edges_path], {
+    return run.values["extraction"], {
         **dataclasses.asdict(stats), "malformed_lines": tset.skipped,
         "blank_node_lines": tset.blank_node_lines, "typed_subjects": len(tset.row_filter.subjects),
         "kept_rows": len(tset), "unkept_lines": tset.unkept_lines}
 
 
-@_stage("node2vec", ("walks", "sgns_graph"), {"nodes": "--nodes", "edges": "--edges"})
+@_stage("node2vec", "graph TSV to node embeddings", ("walks", "sgns_graph"),
+        {"nodes": None, "edges": None}, ("domain_embeddings.vec",), flags={"walks_out": None})
 def cmd_node2vec(run: Run) -> StageResult:
     graph = read_graph_tsv(str(run.inputs["nodes"]), str(run.inputs["edges"]))
     sampler = build_transition_tables(graph, run.cfg["walks"])
     walks = generate_walks(sampler, graph, run.cfg["walks"])
-    outputs = []
-    if run.ns.walks_out:
-        write_corpus(walks, run.ns.walks_out)
-        outputs.append(Path(run.ns.walks_out))
+    emb_path, *walks_out = run.outputs
+    for path in walks_out:
+        write_corpus(walks, str(path))
     result = train_sgns_full(walks, run.cfg["sgns_graph"])
-    emb_path = run.out / "domain_embeddings.vec"
     write_embeddings(result.embeddings, str(emb_path))
     print(f"trained {len(result.embeddings)} node embeddings (dim {result.embeddings.dim}) "
           f"from {len(walks)} walks")
     record = {"walks": run.values["walks"], "sgns": run.values["sgns_graph"]}
-    return record, [emb_path, *outputs], {
+    return record, {
         "epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s,
         "isolated_nodes": graph.n_nodes - len(sampler.active_nodes)}
 
 
-@_stage("train-sgns", ("sgns_text",), {"corpus": "--corpus"})
+@_stage("train-sgns", "text corpus to word embeddings", ("sgns_text",),
+        {"corpus": "one sentence per line, space-separated tokens"}, ("embeddings.vec",))
 def cmd_train_sgns(run: Run) -> StageResult:
     corpus = read_corpus(str(run.inputs["corpus"]))
     if not corpus:
         raise InputError(f"corpus {run.inputs['corpus']} has no sentences")
     result = train_sgns_full(corpus, run.cfg["sgns_text"])
-    emb_path = run.out / "embeddings.vec"
+    (emb_path,) = run.outputs
     write_embeddings(result.embeddings, str(emb_path))
     print(f"trained {len(result.embeddings)} word embeddings (dim {result.embeddings.dim}) "
           f"on {len(corpus)} sentences")
-    return run.values["sgns_text"], [emb_path], {
+    return run.values["sgns_text"], {
         "epoch_loss": result.epoch_loss, "tokens_per_s": result.tokens_per_s}
 
 
-@_stage("filter-corpus", (), {"corpus": "--corpus", "terms": "--terms"})
+@_stage("filter-corpus", "drop sentences containing target terms", (),
+        {"corpus": None, "terms": "file with one normalized term per line"},
+        ("filtered_corpus.txt", "filter_stats.json"))
 def cmd_filter_corpus(run: Run) -> StageResult:
     terms = _read_terms(run.inputs["terms"])
     if not terms:
         raise InputError(f"terms file {run.inputs['terms']} is empty")
-    filtered = run.out / "filtered_corpus.txt"
+    filtered, stats_path = run.outputs
     stats = filter_corpus_file(str(run.inputs["corpus"]), str(filtered), terms)
-    stats_path = run.out / "filter_stats.json"
     stats_path.write_text(stats.to_json(), encoding="utf-8")
     print(f"removed {stats.removed} of {stats.total} sentences "
           f"({100 * stats.removal_fraction:.2f}%)")
-    return {"terms_count": len(terms)}, [filtered, stats_path], None
+    return {"terms_count": len(terms)}, None
 
 
-@_stage("impute", ("lsi",), {"semantic": "--semantic", "domain": "--domain"})
+@_stage("impute", "impute missing semantic vectors from the domain space", ("lsi",),
+        {"semantic": "embedding file to extend", "domain": "embedding file supplying neighborhoods"},
+        ("imputed.vec", "impute_report.json"), flags={"merged_out": None})
 def cmd_impute(run: Run) -> StageResult:
     semantic = read_embeddings(str(run.inputs["semantic"]))
     domain = read_embeddings(str(run.inputs["domain"]))
     result = lsi_pipeline(semantic, domain, run.cfg["lsi"])
 
-    imputed_path = run.out / "imputed.vec"
+    imputed_path, report_path, *merged_out = run.outputs
     write_embeddings(result.imputed, str(imputed_path))
-    outputs = [imputed_path]
-    if run.ns.merged_out:
-        write_embeddings(merge_embeddings(semantic, result.imputed), run.ns.merged_out)
-        outputs.append(Path(run.ns.merged_out))
-    report = {
-        "imputed_tokens": len(result.imputed),
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "converged": result.converged,
-        "fallback_rows": result.fallback_rows,
-        "unreachable_tokens": result.unreachable_tokens,
-    }
-    report_path = run.out / "impute_report.json"
+    for path in merged_out:
+        write_embeddings(merge_embeddings(semantic, result.imputed), str(path))
+    report = {"imputed_tokens": len(result.imputed), "iterations": result.iterations,
+              "residual": result.residual, "converged": result.converged,
+              "fallback_rows": result.fallback_rows,
+              "unreachable_tokens": result.unreachable_tokens}
     report_path.write_text(json.dumps(report, indent=2), encoding="utf-8")
-    outputs.append(report_path)
     print(f"imputed {len(result.imputed)} vectors in {result.iterations} iterations "
           f"(residual {result.residual:.2e})")
     blocks = result.block_iterations
-    return run.values["lsi"], outputs, {
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "column_blocks": len(blocks),
-        "block_iterations_min": min(blocks, default=0),
-        "block_iterations_max": max(blocks, default=0),
-        "threads": result.threads,
+    return run.values["lsi"], {
+        **{key: report[key] for key in ("iterations", "residual", "fallback_rows")},
+        "column_blocks": len(blocks), "block_iterations_min": min(blocks, default=0),
+        "block_iterations_max": max(blocks, default=0), "threads": result.threads,
         "unreachable_nodes": len(result.unreachable_tokens),
-        "anchor_hops_max": result.anchor_hops_max,
-        **result.graph_health,
-    }
+        "anchor_hops_max": result.anchor_hops_max, **result.graph_health}
 
 
-@_stage("align-baseline", (), {"semantic": "--semantic", "domain": "--domain"})
+@_stage("align-baseline", "orthogonal map baseline for OOV vectors", (),
+        {"semantic": None, "domain": None}, ("aligned_oov.vec", "alignment_map.txt"),
+        flags={"merged_out": None})
 def cmd_align_baseline(run: Run) -> StageResult:
     semantic = read_embeddings(str(run.inputs["semantic"]))
     domain = read_embeddings(str(run.inputs["domain"]))
     aligned, qmap = align_baseline(semantic, domain)
-    aligned_path = run.out / "aligned_oov.vec"
+    aligned_path, map_path, *merged_out = run.outputs
     write_embeddings(aligned, str(aligned_path))
-    map_path = run.out / "alignment_map.txt"
     write_map(qmap, str(map_path))
-    outputs = [aligned_path, map_path]
-    if run.ns.merged_out:
-        write_embeddings(merge_embeddings(semantic, aligned), run.ns.merged_out)
-        outputs.append(Path(run.ns.merged_out))
+    for path in merged_out:
+        write_embeddings(merge_embeddings(semantic, aligned), str(path))
     print(f"aligned {len(aligned)} out-of-vocabulary vectors "
           f"({qmap.anchor_count} anchors, residual {qmap.residual:.4f})")
-    return {}, outputs, None
+    return {}, None
 
 
-@_stage("evaluate", ("evaluate",), {"embeddings": "--embeddings", "dataset": "--dataset"},
-        optional={"trained_vocab": "--trained-vocab", "imputed_vocab": "--imputed-vocab"})
+@_stage("evaluate", "word-pair correlation evaluation", ("evaluate",),
+        {"embeddings": None, "dataset": "CSV: Term1,Term2,Similarity,Relatedness"},
+        ("eval_report.json",),
+        optional={"trained_vocab": "file of trained terms (with --imputed-vocab)",
+                  "imputed_vocab": None})
 def cmd_evaluate(run: Run) -> StageResult:
     cfg = run.cfg["evaluate"]
     embedding = read_embeddings(str(run.inputs["embeddings"]))
@@ -430,7 +448,7 @@ def cmd_evaluate(run: Run) -> StageResult:
 
     split = classify_pairs(dataset, trained, imputed)
     report = bootstrap_eval(embedding, split, cfg.resamples, cfg.seed)
-    report_path = run.out / "eval_report.json"
+    (report_path,) = run.outputs
     report_path.write_text(report.to_json(), encoding="utf-8")
     print(report.to_table())
     if not report.evaluable():
@@ -440,46 +458,44 @@ def cmd_evaluate(run: Run) -> StageResult:
             f"(subset sizes {counts}, skipped {len(split.skipped)}, "
             f"missing vectors {report.missing_vector_pairs})"
         )
-    return run.values["evaluate"], [report_path], None
+    return run.values["evaluate"], None
 
 
-@_stage("pipeline", ("paths", *_CONFIG_CLASSES), {
-    "dump": "graph dump (--dump or paths.graph_dump)",
-    "corpus": "corpus (--corpus or paths.corpus)",
-    "dataset": "dataset (--dataset or paths.dataset)",
-})
+# pipeline's own files, then the files of every stage it runs (all but align-baseline)
+@_stage("pipeline", "run every stage end to end", ("paths", *_CONFIG_CLASSES),
+        dict.fromkeys(("dump", "corpus", "dataset")),
+        ("trained_vocab.txt", "imputed_vocab.txt",
+         *(file for stage in STAGES.values() if stage.name != "align-baseline"
+           for file in (*stage.outputs, _manifest_name(stage.name)))),
+        flags={"walks_out": None, "merged_out": "merged.vec"})
 def cmd_pipeline(run: Run) -> StageResult:
     """Chain split, filter, train, extract, embed, impute and evaluate (not align-baseline)."""
-    out = run.out
-
-    def stage(handler, **changes: str | None) -> None:
-        handler(argparse.Namespace(**{**vars(run.ns), **changes}), run.config, run.digests)
+    def stage(name: str, **changes: str) -> tuple[str, ...]:
+        """Run stage `name` over --out-dir; return its fixed outputs' paths."""
+        _handler(name)(argparse.Namespace(**{**vars(run.ns), **changes}), run.config, run.digests)
+        return tuple(str(run.out / file) for file in STAGES[name].outputs)
 
     # 1. split the evaluation vocabulary into trained and to-be-imputed halves
     dataset = load_wordpair_dataset(str(run.inputs["dataset"]))
     trained, imputed = split_vocab(dataset.terms(), run.cfg["evaluate"].split_seed)
-    trained_path = out / "trained_vocab.txt"
-    imputed_path = out / "imputed_vocab.txt"
+    trained_path, imputed_path, *_, merged = run.outputs  # --merged-out comes last
     trained_path.write_text("\n".join(sorted(trained)) + "\n", encoding="utf-8")
     imputed_path.write_text("\n".join(sorted(imputed)) + "\n", encoding="utf-8")
 
     # 2. remove sentences mentioning any to-be-imputed term
-    stage(cmd_filter_corpus, corpus=str(run.inputs["corpus"]), terms=str(imputed_path))
+    filtered, _ = stage("filter-corpus", corpus=str(run.inputs["corpus"]), terms=str(imputed_path))
     # 3. semantic embeddings from the filtered corpus
-    stage(cmd_train_sgns, corpus=str(out / "filtered_corpus.txt"))
-    semantic_path = str(out / "embeddings.vec")
+    (semantic,) = stage("train-sgns", corpus=filtered)
     # 4 + 5. domain embeddings from the knowledge graph
-    stage(cmd_extract_graph, dump=str(run.inputs["dump"]))
-    stage(cmd_node2vec, nodes=str(out / "nodes.tsv"), edges=str(out / "edges.tsv"))
-    domain_path = str(out / "domain_embeddings.vec")
+    nodes, edges = stage("extract-graph", dump=str(run.inputs["dump"]))
+    (domain,) = stage("node2vec", nodes=nodes, edges=edges)
     # 6. impute missing vectors and merge into the trained model
-    merged_path = Path(run.ns.merged_out) if run.ns.merged_out else out / "merged.vec"
-    stage(cmd_impute, semantic=semantic_path, domain=domain_path, merged_out=str(merged_path))
-    # 7. evaluate the imputed model; the merged file is its input here, not an output
-    stage(cmd_evaluate, embeddings=str(merged_path), dataset=str(run.inputs["dataset"]),
-          trained_vocab=str(trained_path), imputed_vocab=str(imputed_path), merged_out=None)
-    print(f"pipeline finished; artifacts and manifests in {out}")
-    return run.values, [merged_path, out / "eval_report.json"], None
+    stage("impute", semantic=semantic, domain=domain, merged_out=str(merged))
+    # 7. evaluate the imputed model
+    stage("evaluate", embeddings=str(merged), dataset=str(run.inputs["dataset"]),
+          trained_vocab=str(trained_path), imputed_vocab=str(imputed_path))
+    print(f"pipeline finished; artifacts and manifests in {run.out}")
+    return run.values, None
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +517,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
             fields.setdefault(dest, []).append(f"{section}.{key}")
             defaults.setdefault(dest, default)
     for dest, keys in fields.items():
-        flag, default, sets = "--" + dest.replace("_", "-"), defaults[dest], "sets " + ", ".join(keys)
+        flag, default, sets = _flag(dest), defaults[dest], "sets " + ", ".join(keys)
         if isinstance(default, list):
             p.add_argument(flag, dest=dest, action="append", help=sets + " (repeatable)")
         else:
@@ -512,38 +528,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lsimpute", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, help: str, flags: dict[str, str | None], *sections: str) -> None:
-        p = sub.add_parser(name, help=help)
-        for flag, text in flags.items():
-            p.add_argument(flag, help=text)
-        _add_config_flags(p, *sections)
+    for stage in STAGES.values():
+        p = sub.add_parser(stage.name, help=stage.help)
+        if "paths" not in stage.sections:  # else the paths section's flags name the inputs
+            for dest, text in {**stage.inputs, **stage.optional}.items():
+                p.add_argument(_flag(dest), help=text)
+        for dest, default in stage.flags.items():
+            p.add_argument(_flag(dest), help=_OUTPUT_HELP[dest] + (
+                f" (default: <out-dir>/{default})" if default else ""))
+        _add_config_flags(p, *stage.sections)
         p.add_argument("--out-dir", default=".")
-        p.set_defaults(func=func)
-
-    command("extract-graph", cmd_extract_graph, "N-Triples dump to nodes.tsv/edges.tsv",
-            {"--dump": "N-Triples file, optionally .gz"}, "extraction")
-    command("node2vec", cmd_node2vec, "graph TSV to node embeddings",
-            {"--nodes": None, "--edges": None, "--walks-out": "also write the walk corpus here"},
-            "walks", "sgns_graph")
-    command("train-sgns", cmd_train_sgns, "text corpus to word embeddings",
-            {"--corpus": "one sentence per line, space-separated tokens"}, "sgns_text")
-    command("filter-corpus", cmd_filter_corpus, "drop sentences containing target terms",
-            {"--corpus": None, "--terms": "file with one normalized term per line"})
-    command("impute", cmd_impute, "impute missing semantic vectors from the domain space",
-            {"--semantic": "embedding file to extend",
-             "--domain": "embedding file supplying neighborhoods",
-             "--merged-out": "also write base + imputed merged here"}, "lsi")
-    command("align-baseline", cmd_align_baseline, "orthogonal map baseline for OOV vectors",
-            {"--semantic": None, "--domain": None, "--merged-out": None})
-    command("evaluate", cmd_evaluate, "word-pair correlation evaluation",
-            {"--embeddings": None, "--dataset": "CSV: Term1,Term2,Similarity,Relatedness",
-             "--trained-vocab": "file of trained terms (with --imputed-vocab)",
-             "--imputed-vocab": None}, "evaluate")
-    command("pipeline", cmd_pipeline, "run every stage end to end",
-            {"--walks-out": None,
-             "--merged-out": "merged embeddings path (default: <out-dir>/merged.vec)"},
-            "paths", *_CONFIG_CLASSES)
+        p.set_defaults(func=_handler(stage.name))
     return parser
 
 

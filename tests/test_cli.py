@@ -75,6 +75,30 @@ BAD_RUNS = {
     "pipeline --walks-out": (["--config", "{config}", "pipeline", "--dump", "{dump}",
                               "--corpus", "{corpus}", "--dataset", "{dataset}",
                               "--walks-out", "{nodir}/walks.txt"], "--walks-out directory"),
+    # an output that would overwrite another output of the command, or a directory
+    "impute --merged-out its manifest": (
+        ["impute", "--semantic", "{semantic}", "--domain", "{domain}", "--k", "2",
+         "--merged-out", "{out}/impute_manifest.json"],
+        "--merged-out {out}/impute_manifest.json is also {out}/impute_manifest.json"),
+    "impute --merged-out a directory": (
+        ["impute", "--semantic", "{semantic}", "--domain", "{domain}", "--k", "2",
+         "--merged-out", "{run}"], "--merged-out {run} is a directory"),
+    "pipeline --walks-out impute's imputed.vec": (
+        ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}", "--walks-out", "{out}/imputed.vec"],
+        "--walks-out {out}/imputed.vec is also {out}/imputed.vec"),
+    "pipeline --merged-out evaluate's eval_report.json": (
+        ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}", "--merged-out", "{out}/eval_report.json"],
+        "--merged-out {out}/eval_report.json is also {out}/eval_report.json"),
+    "pipeline --walks-out its trained_vocab.txt": (
+        ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}", "--walks-out", "{out}/trained_vocab.txt"],
+        "--walks-out {out}/trained_vocab.txt is also {out}/trained_vocab.txt"),
+    "pipeline --walks-out X --merged-out X": (
+        ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}", "--walks-out", "{absent}", "--merged-out", "{absent}"],
+        "--merged-out {absent} is also --walks-out {absent}"),
 }
 
 
@@ -90,26 +114,37 @@ def _stage_inputs(tmp_path) -> dict[str, str]:
     (tmp_path / "no_types.json").write_text(json.dumps({"extraction": {"node_types": []}}))
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "blank.txt").write_text("\n  \n\n")
+    (tmp_path / "run").mkdir()  # an --out-dir holding an input named as an output
+    (tmp_path / "run" / "imputed.vec").write_bytes((tmp_path / "semantic.vec").read_bytes())
     for name in ("nodes.tsv", "edges.tsv", "domain.vec", "semantic.vec", "terms.txt",
                  "no_types.json", "empty.txt", "blank.txt"):
         paths[name.split(".")[0]] = tmp_path / name
-    paths.update(absent=tmp_path / "absent.txt", nodir=tmp_path / "nodir")
+    paths.update(absent=tmp_path / "absent.txt", nodir=tmp_path / "nodir",
+                 out=tmp_path / "new_out", run=tmp_path / "run",
+                 run_imputed=tmp_path / "run" / "imputed.vec")
     return {name: str(path) for name, path in paths.items()}
+
+
+def _tree(root: Path) -> dict[Path, bytes | None]:
+    """The bytes of every file under `root`, and every directory (as None)."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
 
 @pytest.mark.parametrize("case", BAD_RUNS)
 def test_bad_value_exits_before_out_dir_is_created(tmp_path, capsys, case):
     argv, named = BAD_RUNS[case]
     paths = _stage_inputs(tmp_path)
-    out = tmp_path / "new_out"
-    assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]) == 1
-    assert named in capsys.readouterr().err
-    assert not out.exists()
-    assert not (tmp_path / "nodir").exists()
+    before = _tree(tmp_path)
+    assert main([arg.format(**paths) for arg in argv] + ["--out-dir", paths["out"]]) == 1
+    assert named.format(**paths) in capsys.readouterr().err
+    assert _tree(tmp_path) == before  # no --out-dir, and no file changed or added
 
 
-# an output flag that names one of the stage's inputs, and that input's {name}
+# an output that names one of the stage's inputs, and that input's {name}
 OVERWRITING_RUNS = {
+    "impute --semantic <its --out-dir>/imputed.vec": (
+        ["impute", "--semantic", "{run_imputed}", "--domain", "{domain}", "--k", "2",
+         "--out-dir", "{run}"], "run_imputed"),
     "impute --merged-out its --semantic": (
         ["impute", "--semantic", "{semantic}", "--domain", "{domain}", "--k", "2",
          "--merged-out", "{semantic}"], "semantic"),
@@ -126,22 +161,28 @@ OVERWRITING_RUNS = {
 def test_output_flag_naming_an_input_is_refused(tmp_path, capsys, case):
     argv, name = OVERWRITING_RUNS[case]
     paths = _stage_inputs(tmp_path)
-    before = Path(paths[name]).read_bytes()
-    out = tmp_path / "new_out"
-    assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(out)]) == 1
-    assert "is an input of this stage" in capsys.readouterr().err
-    assert Path(paths[name]).read_bytes() == before
-    assert not out.exists()
+    before = _tree(tmp_path)
+    out = [] if "--out-dir" in argv else ["--out-dir", paths["out"]]
+    assert main([arg.format(**paths) for arg in argv + out]) == 1
+    err = capsys.readouterr().err
+    assert "is an input of this stage" in err and paths[name] in err
+    assert _tree(tmp_path) == before  # the input as it was, and no --out-dir made or changed
 
 
-def test_manifest_records_input_digest_from_before_the_run(tmp_path):
-    # the input has the name of impute's fixed output, so the run replaces it
+def test_manifest_records_input_digest_from_before_the_run(tmp_path, monkeypatch):
+    # the reader appends to each input once it has read it
     paths = _stage_inputs(tmp_path)
-    out = tmp_path / "run"
-    out.mkdir()
-    semantic = out / "imputed.vec"
-    semantic.write_bytes(Path(paths["semantic"]).read_bytes())
+    semantic = Path(paths["semantic"])
     before = hashlib.sha256(semantic.read_bytes()).hexdigest()
+
+    def read_then_append(path):
+        embedding = read_embeddings(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        return embedding
+
+    monkeypatch.setattr(cli, "read_embeddings", read_then_append)
+    out = tmp_path / "impute_out"
     assert main(["impute", "--semantic", str(semantic), "--domain", paths["domain"], "--k", "2",
                  "--out-dir", str(out)]) == 0
     assert hashlib.sha256(semantic.read_bytes()).hexdigest() != before
@@ -265,7 +306,7 @@ def test_impute_writes_report_and_merged(tmp_path):
         "iterations": report["iterations"], "residual": report["residual"],
         "column_blocks": 1, "block_iterations_min": report["iterations"],
         "block_iterations_max": report["iterations"], "threads": 1,
-        "unreachable_nodes": 0, **graph.health,
+        "unreachable_nodes": 0, "fallback_rows": report["fallback_rows"], **graph.health,
     }
     assert health["iterations"] >= 1
 
@@ -524,6 +565,10 @@ def test_pipeline_end_to_end(fixture_files, capsys):
     for stage in ["filter_corpus", "train_sgns", "extract_graph", "node2vec",
                   "impute", "evaluate", "pipeline"]:
         assert (out / f"{stage}_manifest.json").exists(), stage
+    # the pipeline manifest lists every file the run wrote, its own aside
+    outputs = json.loads((out / "pipeline_manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == sorted(str(p) for p in out.iterdir()
+                                     if p.name != "pipeline_manifest.json")
     # the alignment baseline is its own command, not a pipeline step
     for name in ["aligned_oov.vec", "alignment_map.txt", "baseline_merged.vec",
                  "align_baseline_manifest.json"]:

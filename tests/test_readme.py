@@ -49,3 +49,23 @@ def test_readme_config_example_builds_every_section():
         values = cli.resolve_section(section, config, flags)
         if section in cli._CONFIG_CLASSES:
             cli._build(section, values)
+
+
+def _output_table() -> dict[str, tuple[list[str], list[str]]]:
+    """README's table of outputs: the names in each command's two columns."""
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|(.*)\|(.*)\|$", README, flags=re.M)
+    return {command: (re.findall(r"`([^`]+)`", files), re.findall(r"`([^`]+)`", flags))
+            for command, files, flags in rows}
+
+
+def test_readme_output_table_matches_the_stage_declarations():
+    table = _output_table()
+    assert list(table) == list(cli.STAGES)
+    run_by_pipeline = [name for name in cli.STAGES if name not in ("pipeline", "align-baseline")]
+    for name, stage in cli.STAGES.items():
+        files, flags = table[name]
+        if name == "pipeline":  # its row lists only its own files
+            files = [*files, *(file for other in run_by_pipeline for file in table[other][0])]
+        assert sorted(files) == sorted([*stage.outputs, cli._manifest_name(name)]), name
+        defaults = [default for default in stage.flags.values() if default]
+        assert flags == [cli._flag(dest) for dest in stage.flags] + defaults, name
