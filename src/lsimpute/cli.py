@@ -255,8 +255,12 @@ StageResult = tuple[dict[str, Any], dict[str, Any] | None]
 def _outputs(stage: Stage, ns, out: Path, inputs: dict[str, Path]) -> tuple[Path, ...]:
     """`Run.outputs`, once none of them, nor the manifest, is an input, another output or a
     directory, and the directory of each output flag exists (or is --out-dir)."""
-    flagged = {dest: Path(getattr(ns, dest) or out / default)
-               for dest, default in stage.flags.items() if getattr(ns, dest) or default}
+    given = {dest: getattr(ns, dest) for dest in stage.flags}
+    for dest, path in given.items():
+        if path == "":
+            raise InputError(f"{_flag(dest)} is empty: give it a file path or leave it out")
+    flagged = {dest: Path(given[dest] or out / default)
+               for dest, default in stage.flags.items() if given[dest] or default}
     for dest, path in flagged.items():
         if not path.parent.is_dir() and path.parent.resolve() != out.resolve():
             raise InputError(f"{_flag(dest)} directory does not exist: {path.parent}")

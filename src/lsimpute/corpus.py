@@ -57,30 +57,25 @@ def tokenize_sentence(line: str) -> list[str]:
     return tokens
 
 
-def _matched_terms(tokens: list[str], terms: set[str]) -> set[str]:
-    hits = set()
-    for tok in tokens:
-        if tok in terms:
-            hits.add(tok)
-        for suffix in PLURAL_SUFFIXES:
-            if tok.endswith(suffix) and tok[: -len(suffix)] in terms:
-                hits.add(tok[: -len(suffix)])
-    return hits
-
-
 def _kept_sentences(
     sentences: Iterable[str], terms: set[str], stats: FilterStats
 ) -> Iterator[str]:
     """Yield the sentences that mention no target term, counting into `stats`."""
+    variants: dict[str, list[str]] = {}  # each token form that matches, and the terms it matches
+    for term in terms:
+        for form in (term, *(term + suffix for suffix in PLURAL_SUFFIXES)):
+            variants.setdefault(form, []).append(term)
+    variants.pop("", None)  # a word that strips to "" is no token
+    forms = variants.keys()
     for sentence in sentences:
         stats.total += 1
-        hits = _matched_terms(tokenize_sentence(sentence), terms)
-        if hits:
-            stats.removed += 1
-            for term in hits:
-                stats.term_hits[term] = stats.term_hits.get(term, 0) + 1
-        else:
+        tokens = [raw.strip(_STRIP_CHARS) for raw in sentence.lower().split()]
+        if forms.isdisjoint(tokens):
             yield sentence
+            continue
+        stats.removed += 1
+        for term in {term for tok in tokens for term in variants.get(tok, ())}:
+            stats.term_hits[term] = stats.term_hits.get(term, 0) + 1
 
 
 def filter_corpus(

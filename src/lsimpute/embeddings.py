@@ -155,10 +155,13 @@ def write_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
     for row, token in enumerate(matrix.tokens):
         if token.split() != [token]:
             raise ValueError(f"row {row}: token {token!r} is empty or holds whitespace")
+    vectors = matrix.vectors
+    # only an integral value below 1e16 (-0.0 too) has a repr ending in ".0"
+    integral = ((vectors == np.trunc(vectors)) & (np.abs(vectors) < 1e16)).any(axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(matrix)} {matrix.dim}\n")
-        for token, vec in zip(matrix.tokens, matrix.vectors):
-            fh.write(token + " " + " ".join(_format_value(v) for v in vec) + "\n")
+        for token, vec, slow in zip(matrix.tokens, vectors.tolist(), integral.tolist()):
+            fh.write(token + " " + " ".join(map(_format_value if slow else repr, vec)) + "\n")
 
 
 def find_anchors(semantic: EmbeddingMatrix, domain: EmbeddingMatrix) -> AnchorMap:

@@ -216,49 +216,107 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _score_subset(
-    humans: dict[str, np.ndarray], cosines: np.ndarray, n_resamples: int, seed: int
-) -> dict[str, SubsetScore]:
-    """Score each score type's human scores against the cosines.
+# the count matrix of one chunk of resamples holds about this many bytes
+_CHUNK_BYTES = 1 << 17
+# pearson rescores a resample whose centred sum of squares on either side is at most
+# _CANCELLATION of its sum about the full-sample mean (the sums lost digits) plus
+# _ROUNDING of n·max(value²) (a spread near the values' rounding, where pearson's own
+# centring decides the last digits); a constant side is always among them
+_CANCELLATION, _ROUNDING = 1e-2, 1e-12
 
-    Resample i draws one index from the stream keyed by (seed, i), and every
-    score type with a point estimate is scored on that same index.
+
+def _resample_r(
+    values: np.ndarray, columns: np.ndarray, floors: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """The (rows, score types) r of values[0] (cosines) against each further row of
+    `values` (human scores), on each row of `draws`; NaN where pearson raises.
+
+    One count matrix times `columns` gives every resample's sums (see `_bootstrap_r`).
     """
-    n = len(cosines)
-    low_n = n < LOW_N_THRESHOLD
-    if n < 2:
-        return {t: SubsetScore(n, None, None, None, True, reason=f"only {n} evaluable pairs")
-                for t in humans}
-    scores: dict[str, SubsetScore] = {}
-    points: dict[str, float] = {}
-    for score_type, human in humans.items():
+    (rows, n), k = draws.shape, len(values)
+    counts = np.bincount((draws + n * np.arange(rows)[:, None]).ravel(), minlength=rows * n)
+    sums = counts.reshape(rows, n) @ columns
+    s, ss, sxy = sums[:, :k], sums[:, k:2 * k], sums[:, 2 * k:]
+    centred = ss - s * s / n  # centred sums of squares, the cosines' first
+    r = (sxy - s[:, :1] * s[:, 1:] / n) / np.sqrt(centred[:, :1] * centred[:, 1:])
+    lost = centred <= _CANCELLATION * ss + floors
+    for row, t in np.argwhere(lost[:, :1] | lost[:, 1:]):
         try:
-            points[score_type] = pearson(cosines, human)
-        except ValueError as exc:
-            scores[score_type] = SubsetScore(n, None, None, None, low_n, reason=str(exc))
+            r[row, t] = pearson(values[0, draws[row]], values[t + 1, draws[row]])
+        except ValueError:
+            r[row, t] = np.nan
+    return r
 
-    values: dict[str, list[float]] = {t: [] for t in points}
-    for i in range(n_resamples if points else 0):
-        idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
-        resampled = cosines[idx]
-        for score_type, found in values.items():
+
+def _bootstrap_r(samples: list[np.ndarray], n_resamples: int, seed: int) -> list[np.ndarray]:
+    """For each (1 + score types, n) array of cosines and human scores, the
+    (score types, n_resamples) r of every resample, NaN where degenerate.
+
+    Resample i of a sample of size n is default_rng([seed, i]).integers(0, n,
+    size=n) for every sample: the generator is built once per i, and its
+    state restored before each sample. Resamples are drawn and scored a chunk
+    at a time. A sample's sums are taken over its values centred on their
+    full-sample means: every centred row d, then d², then d_cosines · d per
+    score type.
+    """
+    if not samples:
+        return []
+    sizes = [values.shape[1] for values in samples]
+    prepared = []
+    for values in samples:
+        d = values - values.mean(axis=1, keepdims=True)
+        floors = _ROUNDING * values.shape[1] * np.square(values).max(axis=1)
+        prepared.append((values, np.vstack([d, d * d, d[0] * d[1:]]).T, floors))
+    out = [np.empty((len(values) - 1, n_resamples)) for values in samples]
+    rows = max(1, _CHUNK_BYTES // (8 * max(sizes)))
+    for start in range(0, n_resamples, rows):
+        stop = min(start + rows, n_resamples)
+        chunk = [np.empty((stop - start, n), dtype=np.int64) for n in sizes]
+        for i in range(start, stop):
+            rng = np.random.default_rng([seed, i])
+            fresh = rng.bit_generator.state
+            for draws, n in zip(chunk, sizes):
+                rng.bit_generator.state = fresh
+                draws[i - start] = rng.integers(0, n, size=n)
+        with np.errstate(invalid="ignore", divide="ignore"):  # at rows pearson rescores
+            for r, draws, args in zip(out, chunk, prepared):
+                r[:, start:stop] = _resample_r(*args, draws).T
+    return out
+
+
+def _score_subsets(
+    samples: dict[str, np.ndarray], n_resamples: int, seed: int
+) -> dict[str, dict[str, SubsetScore]]:
+    """Score each subset's (1 + score types, n) cosines and human scores.
+
+    Resample i of every subset draws one index from the stream keyed by
+    (seed, i), and every score type with a point estimate is scored on that
+    same index.
+    """
+    scores: dict[str, dict[str, SubsetScore]] = {}
+    points: dict[str, dict[str, float]] = {}
+    for subset, values in samples.items():
+        n = values.shape[1]
+        scores[subset], points[subset] = {}, {}
+        for score_type, human in zip(SCORE_TYPES, values[1:]):
             try:
-                found.append(pearson(resampled, humans[score_type][idx]))
-            except ValueError:
-                pass
-
-    for score_type, found in values.items():
-        if found:
-            arr = np.array(found)
-            boot_mean, boot_std = float(arr.mean()), float(arr.std())
-        else:
-            boot_mean = boot_std = None
-        scores[score_type] = SubsetScore(
-            n, points[score_type], boot_mean, boot_std,
-            low_n=low_n,
-            degenerate_resamples=n_resamples - len(found),
-        )
-    return {t: scores[t] for t in humans}
+                if n < 2:
+                    raise ValueError(f"only {n} evaluable pairs")
+                points[subset][score_type] = pearson(values[0], human)
+            except ValueError as exc:
+                scores[subset][score_type] = SubsetScore(n, None, None, None, n < LOW_N_THRESHOLD,
+                                                         reason=str(exc))
+    booted = [subset for subset in samples if points[subset]]
+    for subset, rs in zip(booted, _bootstrap_r([samples[s] for s in booted], n_resamples, seed)):
+        n = samples[subset].shape[1]
+        for score_type, r in zip(SCORE_TYPES, rs):
+            if score_type in points[subset]:
+                r = r[~np.isnan(r)]
+                scores[subset][score_type] = SubsetScore(
+                    n, points[subset][score_type],
+                    float(r.mean()) if r.size else None, float(r.std()) if r.size else None,
+                    n < LOW_N_THRESHOLD, degenerate_resamples=n_resamples - r.size)
+    return {subset: {t: cells[t] for t in SCORE_TYPES} for subset, cells in scores.items()}
 
 
 def bootstrap_eval(
@@ -273,16 +331,15 @@ def bootstrap_eval(
     """
     if n_resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {n_resamples}")
-    scores: dict[str, dict[str, SubsetScore]] = {}
+    samples: dict[str, np.ndarray] = {}  # cosines, then each score type's human scores
     missing: dict[str, int] = {}
     for subset, records in split.subsets.items():
         usable = [r for r in records if r.term1 in embedding and r.term2 in embedding]
         missing[subset] = len(records) - len(usable)
         if missing[subset]:
             logger.info("%s: %d pairs lack an embedding vector", subset, missing[subset])
-        cosines = np.array(
-            [cosine_similarity(embedding.row(r.term1), embedding.row(r.term2)) for r in usable]
-        )
-        humans = {t: np.array([getattr(r, t) for r in usable]) for t in SCORE_TYPES}
-        scores[subset] = _score_subset(humans, cosines, n_resamples, seed)
-    return EvalReport(scores, len(split.skipped), missing)
+        cosines = [cosine_similarity(embedding.row(r.term1), embedding.row(r.term2))
+                   for r in usable]
+        samples[subset] = np.array(
+            [cosines, *([getattr(r, t) for r in usable] for t in SCORE_TYPES)])
+    return EvalReport(_score_subsets(samples, n_resamples, seed), len(split.skipped), missing)

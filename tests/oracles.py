@@ -117,6 +117,33 @@ def naive_filter(sentences: list[str], terms: set[str]) -> list[str]:
     return kept
 
 
+def per_token_filter(sentences: list[str], terms: set[str]) -> tuple[list[str], dict[str, int]]:
+    """Kept sentences and removed sentences per term, testing one token and suffix at a time.
+
+    A token is a whitespace-split word, lower-cased and punctuation-stripped,
+    and empty tokens are dropped; it matches a term equal to it, or to it less
+    a trailing "s" or "es".
+    """
+    kept, hits = [], {}
+    for sentence in sentences:
+        matched = set()
+        for raw in sentence.lower().split():
+            tok = raw.strip(".,;:!?()\"'[]")
+            if not tok:
+                continue
+            if tok in terms:
+                matched.add(tok)
+            for suffix in ("s", "es"):
+                if tok.endswith(suffix) and tok[: -len(suffix)] in terms:
+                    matched.add(tok[: -len(suffix)])
+        if matched:
+            for term in matched:
+                hits[term] = hits.get(term, 0) + 1
+        else:
+            kept.append(sentence)
+    return kept, hits
+
+
 def pair_log_likelihood(center: np.ndarray, context: np.ndarray, negatives: np.ndarray) -> float:
     """log sigma(c.o) + sum_i log sigma(-c.n_i): the objective of one positive
     pair and its negatives, written from the formula."""

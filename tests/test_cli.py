@@ -99,6 +99,17 @@ BAD_RUNS = {
         ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
          "--dataset", "{dataset}", "--walks-out", "{absent}", "--merged-out", "{absent}"],
         "--merged-out {absent} is also --walks-out {absent}"),
+    # an empty output flag is not the flag left out
+    "impute --merged-out empty": (["impute", "--semantic", "{semantic}", "--domain", "{domain}",
+                                   "--k", "2", "--merged-out", ""], "--merged-out is empty"),
+    "node2vec --walks-out empty": (["node2vec", "--nodes", "{nodes}", "--edges", "{edges}",
+                                    "--walks-out", ""], "--walks-out is empty"),
+    "pipeline --merged-out empty": (["--config", "{config}", "pipeline", "--dump", "{dump}",
+                                     "--corpus", "{corpus}", "--dataset", "{dataset}",
+                                     "--merged-out", ""], "--merged-out is empty"),
+    "pipeline --walks-out empty": (["--config", "{config}", "pipeline", "--dump", "{dump}",
+                                    "--corpus", "{corpus}", "--dataset", "{dataset}",
+                                    "--walks-out", ""], "--walks-out is empty"),
 }
 
 

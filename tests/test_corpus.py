@@ -8,7 +8,7 @@ import numpy as np
 from lsimpute import filter_corpus, tokenize_sentence
 from lsimpute.corpus import filter_corpus_file
 
-from oracles import naive_filter
+from oracles import naive_filter, per_token_filter
 
 
 def test_tokenize_strips_punctuation():
@@ -67,6 +67,24 @@ def test_filter_matches_naive_scan_oracle():
     assert kept == naive_filter(sentences, terms)
     assert stats.total == 2000
     assert stats.removed == 2000 - len(kept)
+
+
+def test_filter_matches_per_token_oracle():
+    # "axes" is "axe" + "s" and "ax" + "es"; "s" and "es" alone are plurals of the empty
+    # term; "...", "()" and "!" strip to nothing
+    terms = {"ax", "axe", "axes", "anemia", "rales", ""}
+    sentences = ["Two axes.", "an AX, then (axe)", "axess here", "Anemias; rales!",
+                 "... () ! ?", "no match at all", "s", "es and more", "'Rales'", "", "  ",
+                 "axe's edge", "[anemia]es", "maxes out"]
+    rng = np.random.default_rng(7)
+    vocab = ["ax", "axe", "axes", "axees", "Anemias,", "rale", "(s)", "-", "...", "filler"]
+    sentences += [" ".join(rng.choice(vocab, size=rng.integers(0, 6))) for _ in range(300)]
+    for chosen in (terms, {"axe"}, {"ax", "axes"}, {""}):
+        kept, stats = filter_corpus(sentences, chosen)
+        want_kept, want_hits = per_token_filter(sentences, chosen)
+        assert kept == want_kept
+        assert stats.term_hits == want_hits
+        assert stats.removed == len(sentences) - len(kept)
 
 
 def test_filter_idempotent():

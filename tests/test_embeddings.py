@@ -72,6 +72,14 @@ def test_write_simple(tmp_path):
     assert p.read_text() == "1 2\na 1 0\n"
 
 
+def test_write_prints_each_value_by_repr_less_a_trailing_point_zero(tmp_path):
+    p = tmp_path / "emb.vec"
+    rows = np.array([[-0.0, 1e15, 1e16, 2.5], [-3.0, 5e-324, 1e300, 0.1], [0.5, -0.25, 1.5, 3e-9]])
+    write_embeddings(EmbeddingMatrix(["a", "b", "c"], rows), str(p))
+    assert p.read_text() == ("3 4\na -0 1000000000000000 1e+16 2.5\nb -3 5e-324 1e+300 0.1\n"
+                             "c 0.5 -0.25 1.5 3e-09\n")
+
+
 @pytest.mark.parametrize("token", ["", "two words", "tab\there", "line\nbreak", "nbsp\u00a0"])
 def test_write_rejects_unreadable_token_before_opening(tmp_path, token):
     p = tmp_path / "emb.vec"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from lsimpute import (
     pearson,
     split_vocab,
 )
-from lsimpute.evaluation import SCORE_TYPES, DatasetFormatError, WordPair
+from lsimpute.evaluation import (
+    _CHUNK_BYTES, SCORE_TYPES, DatasetFormatError, WordPair, _bootstrap_r,
+)
 
 from oracles import per_score_bootstrap
 
@@ -232,6 +235,64 @@ def test_bootstrap_matches_per_score_type_oracle():
     assert degenerate["trained/trained", "similarity"] > 0
     assert degenerate["trained/trained", "relatedness"] == 0
     assert degenerate["imputed/imputed", "similarity"] == 0
+
+
+def _tied_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Spread, tied or nearly equal values, so constant and near-constant resamples occur."""
+    kind = rng.integers(6)
+    if kind == 0:
+        return rng.uniform(0, 1600, n)
+    if kind == 1:
+        return rng.choice([100.0, 300.0, 700.0], n)
+    if kind == 2:  # equal to 12 digits
+        return 0.5 + 1e-12 * rng.integers(0, 3, n)
+    if kind == 3:  # one value that most pairs share, and a few more near it
+        return np.where(rng.random(n) < 0.8, 0.25, 0.25 + 1e-9 * rng.random(n))
+    if kind == 4:  # a far outlier: a resample without it has a mean far from the sample's
+        return np.where(rng.random(n) < 0.9, 0.1 * rng.random(n), 1000.0)
+    return rng.choice([1600.0, np.nextafter(1600.0, 0.0), 0.0], n)
+
+
+def test_bulk_bootstrap_matches_pearson_resample_by_resample():
+    rng = np.random.default_rng(12)
+    degenerate = 0
+    for _ in range(60):
+        samples = [np.array([_tied_values(rng, n) for _ in range(3)])
+                   for n in rng.integers(2, 41, size=rng.integers(1, 4))]
+        n_resamples, seed = int(rng.integers(1, 40)), int(rng.integers(100))
+        for values, r in zip(samples, _bootstrap_r(samples, n_resamples, seed)):
+            n = values.shape[1]
+            for i in range(n_resamples):
+                idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+                for t in (1, 2):
+                    try:
+                        want = pearson(values[0, idx], values[t, idx])
+                    except ValueError:
+                        degenerate += 1
+                        assert np.isnan(r[t - 1, i])
+                    else:
+                        assert abs(r[t - 1, i] - want) <= 1e-12
+    assert degenerate > 0
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    # resamples are scored a chunk at a time, so from 500 to 4,000 resamples the traced
+    # peak grows by the r values kept for the mean and std (8 bytes per resample and
+    # evaluable cell), and by at most one more chunk
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(30)]
+    emb = EmbeddingMatrix(words, rng.standard_normal((30, 4)))
+    rows = [(words[i], words[j], float(rng.uniform(0, 1600)), float(rng.uniform(0, 1600)))
+            for i in range(30) for j in range(i + 1, 30)]
+    split = classify_pairs(_dataset(rows), set(words[:15]), set(words[15:]))
+    peaks = {}
+    for n_resamples in (500, 4000):
+        tracemalloc.start()
+        bootstrap_eval(emb, split, n_resamples=n_resamples, seed=0)
+        peaks[n_resamples] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    cells = len(split.subsets) * len(SCORE_TYPES)
+    assert peaks[4000] - peaks[500] <= 8 * 3500 * cells + _CHUNK_BYTES
 
 
 def test_bootstrap_two_point_subset_flagged_low_n():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gzip
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from lsimpute import (
     extract_subgraph,
     parse_ntriples,
 )
-from lsimpute.graph import read_graph_tsv, write_graph_tsv, parse_ntriples_file
+from lsimpute.graph import _WS, read_graph_tsv, write_graph_tsv, parse_ntriples_file
 
 from oracles import reference_extraction, set_adjacency
 
@@ -65,6 +67,18 @@ def test_parse_unicode_escapes():
 def test_parse_unknown_escape_kept_as_written():
     ts = parse_ntriples(['<a> <p> "x\\qy \\u00G1" .'])
     assert _rows(ts)[0][2] == "x\\qy \\u00G1"
+
+
+def test_spelled_out_whitespace_is_what_backslash_s_matches():
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert sorted(_WS) == re.findall(r"\s", every_char)
+
+
+def test_parse_separates_on_any_unicode_whitespace():
+    # U+3000 and U+001C are whitespace to str.split and \s; U+200B is not
+    tset = parse_ntriples(["\u3000<a>\x1c<p>\u2029<b>\xa0.\x85", "<a> <p>\u200b<b> ."])
+    assert tset.skipped == 1
+    assert [tset.terms[i] for i in tset.triples[0]] == ["a", "p", "b"]
 
 
 def test_parse_skips_garbage_with_count():
