@@ -285,7 +285,8 @@ def _stage(*declaration, **keywords):
 
     Every config section, input file (the `optional` ones all or none) and
     output is checked, and every input hashed, before --out-dir is created. If
-    the body fails, a --out-dir it created and left empty is removed. When it
+    the body fails, the directories that creating --out-dir made are removed
+    again, from --out-dir up, as long as they are empty. When it
     returns, the manifest is written, with the digests of the inputs as the
     body read them and `Run.outputs`, through the module name
     `write_manifest`, which perfbench's tracer replaces.
@@ -309,13 +310,15 @@ def _stage(*declaration, **keywords):
             outputs = _outputs(stage, ns, out, found)
             hashed = {key: {"path": str(p), "sha256": _sha256(p, digests)}
                       for key, p in found.items()}
-            created = not out.exists()
+            created = [path for path in (out, *out.parents) if not path.exists()]
             out.mkdir(parents=True, exist_ok=True)
             try:
                 record, health = body(Run(ns, config, values, cfg, found, out, outputs, digests))
             except BaseException:
-                if created and not any(out.iterdir()):  # the body failed before writing a file
-                    out.rmdir()
+                for path in created:  # deepest first, up to the first that is not empty
+                    if any(path.iterdir()):
+                        break
+                    path.rmdir()
                 raise
             write_manifest(out, stage.name, record, hashed, list(outputs), started, health)
         return handler
@@ -330,6 +333,11 @@ def _stage(*declaration, **keywords):
 def cmd_extract_graph(run: Run) -> StageResult:
     tset = parse_ntriples_file(str(run.inputs["dump"]), run.cfg["extraction"])
     graph = extract_subgraph(tset, run.cfg["extraction"])
+    typed = len(tset.row_filter.subjects)
+    if not graph.n_nodes:
+        raise InputError(f"the graph is empty: no labelled subject of {run.inputs['dump']} has "
+                         f"a node type in {sorted(run.cfg['extraction'].node_types)} "
+                         f"(typed_subjects {typed})")
     stats = degree_stats(graph)
     nodes_path, edges_path = run.outputs
     write_graph_tsv(graph, str(nodes_path), str(edges_path))
@@ -337,7 +345,7 @@ def cmd_extract_graph(run: Run) -> StageResult:
           f"(skipped {tset.skipped} malformed lines, {tset.blank_node_lines} blank-node lines)")
     return run.values["extraction"], {
         **dataclasses.asdict(stats), "malformed_lines": tset.skipped,
-        "blank_node_lines": tset.blank_node_lines, "typed_subjects": len(tset.row_filter.subjects),
+        "blank_node_lines": tset.blank_node_lines, "typed_subjects": typed,
         "kept_rows": len(tset), "unkept_lines": tset.unkept_lines}
 
 

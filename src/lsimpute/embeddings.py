@@ -186,7 +186,5 @@ def merge_embeddings(base: EmbeddingMatrix, imputed: EmbeddingMatrix) -> Embeddi
     n_collisions = len(imputed) - len(extra_tokens)
     if n_collisions:
         logger.info("merge: %d imputed tokens already in base, base rows kept", n_collisions)
-    if not extra_tokens:
-        return EmbeddingMatrix(list(base.tokens), base.vectors.copy())
     extra = imputed.vectors[[imputed.row_index(t) for t in extra_tokens]]
     return EmbeddingMatrix(list(base.tokens) + extra_tokens, np.vstack([base.vectors, extra]))

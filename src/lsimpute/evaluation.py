@@ -284,50 +284,16 @@ def _bootstrap_r(samples: list[np.ndarray], n_resamples: int, seed: int) -> list
     return out
 
 
-def _score_subsets(
-    samples: dict[str, np.ndarray], n_resamples: int, seed: int
-) -> dict[str, dict[str, SubsetScore]]:
-    """Score each subset's (1 + score types, n) cosines and human scores.
-
-    Resample i of every subset draws one index from the stream keyed by
-    (seed, i), and every score type with a point estimate is scored on that
-    same index.
-    """
-    scores: dict[str, dict[str, SubsetScore]] = {}
-    points: dict[str, dict[str, float]] = {}
-    for subset, values in samples.items():
-        n = values.shape[1]
-        scores[subset], points[subset] = {}, {}
-        for score_type, human in zip(SCORE_TYPES, values[1:]):
-            try:
-                if n < 2:
-                    raise ValueError(f"only {n} evaluable pairs")
-                points[subset][score_type] = pearson(values[0], human)
-            except ValueError as exc:
-                scores[subset][score_type] = SubsetScore(n, None, None, None, n < LOW_N_THRESHOLD,
-                                                         reason=str(exc))
-    booted = [subset for subset in samples if points[subset]]
-    for subset, rs in zip(booted, _bootstrap_r([samples[s] for s in booted], n_resamples, seed)):
-        n = samples[subset].shape[1]
-        for score_type, r in zip(SCORE_TYPES, rs):
-            if score_type in points[subset]:
-                r = r[~np.isnan(r)]
-                scores[subset][score_type] = SubsetScore(
-                    n, points[subset][score_type],
-                    float(r.mean()) if r.size else None, float(r.std()) if r.size else None,
-                    n < LOW_N_THRESHOLD, degenerate_resamples=n_resamples - r.size)
-    return {subset: {t: cells[t] for t in SCORE_TYPES} for subset, cells in scores.items()}
-
-
 def bootstrap_eval(
     embedding: EmbeddingMatrix, split: PairSplit, n_resamples: int, seed: int
 ) -> EvalReport:
     """Point Pearson r per subset and score type, plus bootstrap mean and std.
 
-    Resampling draws pair records with replacement; each resample uses an RNG
-    stream keyed by (seed, resample index) so reports are reproducible and
-    independent of evaluation order. Pairs with a term missing from the
-    embedding are dropped and counted per subset.
+    A cell takes its r from `pearson`, or the reason r is undefined, and its
+    mean, std and degenerate count from its subset's resamples, which
+    `_bootstrap_r` draws from the (seed, i) streams for every subset of at
+    least 2 pairs. Pairs with a term missing from the embedding are dropped
+    and counted per subset.
     """
     if n_resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {n_resamples}")
@@ -342,4 +308,24 @@ def bootstrap_eval(
                    for r in usable]
         samples[subset] = np.array(
             [cosines, *([getattr(r, t) for r in usable] for t in SCORE_TYPES)])
-    return EvalReport(_score_subsets(samples, n_resamples, seed), len(split.skipped), missing)
+    booted = [subset for subset, values in samples.items() if values.shape[1] >= 2]
+    resampled = dict(zip(booted, _bootstrap_r([samples[s] for s in booted], n_resamples, seed)))
+    scores: dict[str, dict[str, SubsetScore]] = {}
+    for subset, values in samples.items():
+        n = values.shape[1]
+        scores[subset] = {}
+        for t, score_type in enumerate(SCORE_TYPES):
+            try:
+                if n < 2:
+                    raise ValueError(f"only {n} evaluable pairs")
+                point = pearson(values[0], values[t + 1])
+            except ValueError as exc:
+                scores[subset][score_type] = SubsetScore(n, None, None, None, n < LOW_N_THRESHOLD,
+                                                         reason=str(exc))
+                continue
+            r = resampled[subset][t]
+            r = r[~np.isnan(r)]
+            scores[subset][score_type] = SubsetScore(
+                n, point, float(r.mean()) if r.size else None, float(r.std()) if r.size else None,
+                n < LOW_N_THRESHOLD, degenerate_resamples=n_resamples - r.size)
+    return EvalReport(scores, len(split.skipped), missing)

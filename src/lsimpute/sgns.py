@@ -37,7 +37,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,23 +84,8 @@ class SgnsResult:
     tokens_per_s: float          # corpus tokens x epochs over the whole call's wall time
 
 
-def build_vocabulary(corpus: Sequence[list[str]], min_count: int) -> tuple[list[str], np.ndarray]:
-    """Retained tokens sorted by descending count (ties by token), with counts."""
-    counts = Counter()
-    for sentence in corpus:
-        counts.update(sentence)
-    kept = sorted(
-        ((tok, c) for tok, c in counts.items() if c >= min_count),
-        key=lambda tc: (-tc[1], tc[0]),
-    )
-    if not kept:
-        raise ValueError(f"vocabulary is empty after min_count={min_count}")
-    tokens = [t for t, _ in kept]
-    return tokens, np.array([c for _, c in kept], dtype=np.float64)
-
-
-def _noise_cumulative(counts: np.ndarray, power: float = 0.75) -> np.ndarray:
-    weights = counts**power
+def _noise_cumulative(counts: np.ndarray) -> np.ndarray:
+    weights = counts**0.75
     cum = np.cumsum(weights / weights.sum())
     cum[-1] = 1.0  # cumsum can land a hair under 1; draws must never index past the end
     return cum
@@ -127,6 +111,31 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
+def _corpus_ids(
+    corpus: Sequence[list[str]], min_count: int
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The vocabulary, tokens of at least min_count sorted by descending count (ties by
+    token), their counts, and the corpus as one id array with sentence lengths; tokens
+    under min_count are dropped, and then sentences left empty."""
+    index: dict[str, int] = {}  # first-seen ids
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    ids = np.fromiter((index.setdefault(t, len(index)) for sent in corpus for t in sent),
+                      dtype=np.int64, count=int(lengths.sum()))
+    seen = list(index)
+    count = np.bincount(ids, minlength=len(seen))
+    counts = count.tolist()
+    kept = sorted((i for i, c in enumerate(counts) if c >= min_count),
+                  key=lambda i: (-counts[i], seen[i]))
+    if not kept:
+        raise ValueError(f"vocabulary is empty after min_count={min_count}")
+    rank = np.full(len(seen), -1)  # first-seen id -> vocabulary id
+    rank[kept] = np.arange(len(kept))
+    ids = rank[ids]
+    known = ids >= 0
+    lengths = np.diff(_offsets(known)[_offsets(lengths)])
+    return [seen[i] for i in kept], count[kept].astype(np.float64), ids[known], lengths[lengths > 0]
+
+
 def _train_batch(
     ids: np.ndarray,
     lengths: np.ndarray,
@@ -139,7 +148,6 @@ def _train_batch(
     window: int,
     run_centers: int,
     rng: np.random.Generator,
-    track_loss: bool = False,
 ) -> tuple[float, int]:
     """SGD over a batch of sentences laid end to end in `ids`; returns (loss sum, pairs).
 
@@ -212,11 +220,10 @@ def _train_batch(
             step += u
             w_out[out] = step
             v += g.dot(u)
-        if track_loss:
-            # -p log sigma(s) - (mult - p) log sigma(-s) = mult log(1 + e^s) - p s,
-            # as log sigma(s) = log sigma(-s) + s
-            loss_sum -= float(pos_count.dot(scores[pos_at]))
-            loss_sum += float(mult.dot(np.logaddexp(0.0, scores, out=scores)))
+        # -p log sigma(s) - (mult - p) log sigma(-s) = mult log(1 + e^s) - p s,
+        # as log sigma(s) = log sigma(-s) + s
+        loss_sum -= float(pos_count.dot(scores[pos_at]))
+        loss_sum += float(mult.dot(np.logaddexp(0.0, scores, out=scores)))
         total += n_pairs
     return loss_sum, total
 
@@ -226,18 +233,7 @@ def train_sgns_full(
 ) -> SgnsResult:
     """Train; returns the embedding matrix, the per-epoch loss curve and the throughput."""
     start = time.perf_counter()
-    tokens, counts = build_vocabulary(corpus, cfg.min_count)
-    # the corpus as one id array with sentence lengths; tokens under min_count
-    # are dropped, and then sentences left empty
-    get = {t: i for i, t in enumerate(tokens)}.get
-    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
-    corpus_tokens = int(lengths.sum())
-    ids = np.fromiter((get(t, -1) for sent in corpus for t in sent),
-                      dtype=np.int64, count=corpus_tokens)
-    known = ids >= 0
-    lengths = np.diff(_offsets(known)[_offsets(lengths)])
-    ids = ids[known]
-    lengths = lengths[lengths > 0]
+    tokens, counts, ids, lengths = _corpus_ids(corpus, cfg.min_count)
     offsets = _offsets(lengths)
 
     # batches of whole sentences with at most one run of tokens, unless a
@@ -273,7 +269,7 @@ def train_sgns_full(
             alphas = cfg.alpha - (cfg.alpha - alpha_min) * (done / total_sentences)
             loss, pairs = _train_batch(
                 ids[offsets[first]:offsets[stop]], lengths[first:stop], alphas, w_in, w_out,
-                noise_cum, keep_prob, cfg.negative, cfg.window, run_centers, rng, track_loss,
+                noise_cum, keep_prob, cfg.negative, cfg.window, run_centers, rng,
             )
             loss_sum += loss
             pair_count += pairs
@@ -282,5 +278,5 @@ def train_sgns_full(
             epoch_loss.append(loss_sum / max(pair_count, 1))
             logger.debug("epoch %d: mean pair loss %.6f", epoch, epoch_loss[-1])
 
-    rate = cfg.epochs * corpus_tokens / (time.perf_counter() - start)
+    rate = cfg.epochs * sum(map(len, corpus)) / (time.perf_counter() - start)
     return SgnsResult(EmbeddingMatrix(tokens, w_in), epoch_loss, round(rate, 1))

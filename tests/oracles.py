@@ -7,6 +7,7 @@ projection steps, exhaustive scans) and shares no code with the package.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -298,3 +299,19 @@ def per_score_bootstrap(
         else:
             values.append(float(np.corrcoef(x, y)[0, 1]))
     return point, values, degenerate
+
+
+def build_vocabulary(corpus: list[list[str]], min_count: int) -> tuple[list[str], np.ndarray]:
+    """Tokens of at least min_count sorted by descending count (ties by token), with
+    counts, from one Counter over the whole corpus."""
+    counts = Counter()
+    for sentence in corpus:
+        counts.update(sentence)
+    kept = sorted(
+        ((tok, c) for tok, c in counts.items() if c >= min_count),
+        key=lambda tc: (-tc[1], tc[0]),
+    )
+    if not kept:
+        raise ValueError(f"vocabulary is empty after min_count={min_count}")
+    tokens = [t for t, _ in kept]
+    return tokens, np.array([c for _, c in kept], dtype=np.float64)

@@ -56,6 +56,11 @@ BAD_RUNS = {
     "filter-corpus empty --terms": (["filter-corpus", "--corpus", "{corpus}",
                                      "--terms", "{empty}"], "is empty"),
     "train-sgns blank corpus": (["train-sgns", "--corpus", "{blank}"], "has no sentences"),
+    "train-sgns vocabulary empty": (["train-sgns", "--corpus", "{terms}"],
+                                    "vocabulary is empty after min_count=5"),
+    "extract-graph --node-type matching nothing": (
+        ["extract-graph", "--dump", "{dump}", "--node-type", "ConceptTyp"],
+        "has a node type in ['ConceptTyp'] (typed_subjects 0)"),
     "align-baseline missing --domain": (["align-baseline", "--semantic", "{semantic}",
                                          "--domain", "{absent}"], "--domain not found"),
     "evaluate --trained-vocab alone": (["evaluate", "--embeddings", "{semantic}",
@@ -149,6 +154,22 @@ def test_bad_value_exits_before_out_dir_is_created(tmp_path, capsys, case):
     assert main([arg.format(**paths) for arg in argv] + ["--out-dir", paths["out"]]) == 1
     assert named.format(**paths) in capsys.readouterr().err
     assert _tree(tmp_path) == before  # no --out-dir, and no file changed or added
+
+
+# the rows of BAD_RUNS that fail in the stage body, once --out-dir exists
+BODY_FAULTS = ("filter-corpus empty --terms", "train-sgns blank corpus",
+               "train-sgns vocabulary empty", "extract-graph --node-type matching nothing")
+
+
+@pytest.mark.parametrize("case", BODY_FAULTS)
+def test_failed_body_removes_the_parents_of_out_dir_it_created(tmp_path, capsys, case):
+    argv, named = BAD_RUNS[case]
+    paths = _stage_inputs(tmp_path)
+    before = _tree(tmp_path)
+    nested = tmp_path / "x" / "y" / "z"
+    assert main([arg.format(**paths) for arg in argv] + ["--out-dir", str(nested)]) == 1
+    assert named.format(**paths) in capsys.readouterr().err
+    assert _tree(tmp_path) == before  # neither z nor x/y nor x is left
 
 
 # an output that names one of the stage's inputs, and that input's {name}

@@ -188,6 +188,29 @@ def _toy_embedding() -> EmbeddingMatrix:
     return EmbeddingMatrix([f"w{i}" for i in range(8)], rng.standard_normal((8, 4)))
 
 
+def test_constant_cosine_subset_leaves_other_cells_unchanged():
+    # imputed/imputed pairs join orthogonal unit vectors, so every cosine is 0: both
+    # cells carry a reason, and the other subsets score as they do without it
+    rng = np.random.default_rng(6)
+    words = [f"w{i}" for i in range(8)]
+    vectors = np.vstack([rng.standard_normal((4, 4)), np.eye(4)])
+    emb = EmbeddingMatrix(words, vectors)
+    rows = [(words[i], words[j], float(rng.uniform(0, 1600)), float(rng.uniform(0, 1600)))
+            for i in range(8) for j in range(i + 1, 8)]
+    split = classify_pairs(_dataset(rows), set(words[:4]), set(words[4:]))
+    assert 2 <= len(split.subsets["imputed/imputed"]) < len(split.subsets["imputed/trained"])
+    report = bootstrap_eval(emb, split, n_resamples=100, seed=3)
+    for score_type in SCORE_TYPES:
+        cell = report.scores["imputed/imputed"][score_type]
+        assert (cell.n, cell.r, cell.boot_mean, cell.boot_std) == (6, None, None, None)
+        assert cell.reason == "pearson is undefined for constant input"
+    split.subsets["imputed/imputed"] = []
+    without = bootstrap_eval(emb, split, n_resamples=100, seed=3)
+    for subset in ("trained/trained", "imputed/trained"):
+        assert report.scores[subset] == without.scores[subset]
+        assert all(cell.r is not None for cell in report.scores[subset].values())
+
+
 def test_bootstrap_reproducible_and_reports_n():
     rng = np.random.default_rng(33)
     emb = _toy_embedding()

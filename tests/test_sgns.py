@@ -9,9 +9,9 @@ import pytest
 from lsimpute import SgnsConfig, train_sgns_full
 from lsimpute.evaluation import cosine_similarity
 
-from lsimpute.sgns import _keep_probabilities, _noise_cumulative, _train_batch
+from lsimpute.sgns import _corpus_ids, _keep_probabilities, _noise_cumulative, _train_batch
 
-from oracles import sgd_step_by_central_differences, sgns_batch_sgd
+from oracles import build_vocabulary, sgd_step_by_central_differences, sgns_batch_sgd
 
 
 def two_cluster_corpus(n_sentences: int = 200) -> list[list[str]]:
@@ -65,6 +65,31 @@ def test_training_deterministic_single_threaded():
     np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
 
+def test_corpus_ids_match_counter_oracle():
+    # few distinct tokens, so counts tie often; sentences of rare tokens end up empty
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        alphabet = np.array([f"t{i}" for i in range(int(rng.integers(1, 12)))])
+        corpus = [rng.choice(alphabet, size=int(rng.integers(0, 6))).tolist()
+                  for _ in range(int(rng.integers(1, 12)))]
+        min_count = int(rng.integers(1, 6))
+        try:
+            want_tokens, want_counts = build_vocabulary(corpus, min_count)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _corpus_ids(corpus, min_count)
+            continue
+        index = {t: i for i, t in enumerate(want_tokens)}
+        sentences = [[index[t] for t in sent if t in index] for sent in corpus]
+        sentences = [sent for sent in sentences if sent]
+        tokens, counts, ids, lengths = _corpus_ids(corpus, min_count)
+        assert tokens == want_tokens
+        np.testing.assert_array_equal(counts, want_counts)
+        assert counts.dtype == np.float64
+        assert ids.tolist() == [i for sent in sentences for i in sent]
+        assert lengths.tolist() == [len(sent) for sent in sentences]
+
+
 def test_sentence_update_matches_pairwise_oracle():
     # a five-token vocabulary makes repeated output rows within one center the
     # rule, so each distinct row must carry every occurrence; sample > 0 drops
@@ -83,7 +108,7 @@ def test_sentence_update_matches_pairwise_oracle():
         ref_in, ref_out = w_in.copy(), w_out.copy()
         loss, pairs = _train_batch(np.concatenate(sentences), np.array([len(s) for s in sentences]),
                                    alphas, w_in, w_out, noise_cum, keep_prob, 3, 4, run_centers,
-                                   np.random.default_rng(trial), track_loss=True)
+                                   np.random.default_rng(trial))
         ref_loss, ref_pairs = sgns_batch_sgd(sentences, alphas.tolist(), ref_in, ref_out,
                                              noise_cum, keep_prob, 3, 4, run_centers,
                                              np.random.default_rng(trial))
