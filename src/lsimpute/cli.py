@@ -481,25 +481,26 @@ def cmd_evaluate(run: Run) -> StageResult:
            for file in (*stage.outputs, _manifest_name(stage.name)))),
         flags={"walks_out": None, "merged_out": "merged.vec"})
 def cmd_pipeline(run: Run) -> StageResult:
-    """Chain split, filter, train, extract, embed, impute and evaluate (not align-baseline)."""
+    """Chain extract, split, filter, train, embed, impute and evaluate (not align-baseline)."""
     def stage(name: str, **changes: str) -> tuple[str, ...]:
         """Run stage `name` over --out-dir; return its fixed outputs' paths."""
         _handler(name)(argparse.Namespace(**{**vars(run.ns), **changes}), run.config, run.digests)
         return tuple(str(run.out / file) for file in STAGES[name].outputs)
 
-    # 1. split the evaluation vocabulary into trained and to-be-imputed halves
+    # 1. the graph first: it reads only the dump, so an empty one fails before any training
+    nodes, edges = stage("extract-graph", dump=str(run.inputs["dump"]))
+    # 2. split the evaluation vocabulary into trained and to-be-imputed halves
     dataset = load_wordpair_dataset(str(run.inputs["dataset"]))
     trained, imputed = split_vocab(dataset.terms(), run.cfg["evaluate"].split_seed)
     trained_path, imputed_path, *_, merged = run.outputs  # --merged-out comes last
     trained_path.write_text("\n".join(sorted(trained)) + "\n", encoding="utf-8")
     imputed_path.write_text("\n".join(sorted(imputed)) + "\n", encoding="utf-8")
 
-    # 2. remove sentences mentioning any to-be-imputed term
+    # 3. remove sentences mentioning any to-be-imputed term
     filtered, _ = stage("filter-corpus", corpus=str(run.inputs["corpus"]), terms=str(imputed_path))
-    # 3. semantic embeddings from the filtered corpus
+    # 4. semantic embeddings from the filtered corpus
     (semantic,) = stage("train-sgns", corpus=filtered)
-    # 4 + 5. domain embeddings from the knowledge graph
-    nodes, edges = stage("extract-graph", dump=str(run.inputs["dump"]))
+    # 5. domain embeddings from the knowledge graph
     (domain,) = stage("node2vec", nodes=nodes, edges=edges)
     # 6. impute missing vectors and merge into the trained model
     stage("impute", semantic=semantic, domain=domain, merged_out=str(merged))

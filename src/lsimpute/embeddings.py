@@ -8,7 +8,6 @@ text) and the domain space (vectors trained from a knowledge graph).
 from __future__ import annotations
 
 import logging
-import math
 import os
 import stat
 from dataclasses import dataclass, field
@@ -110,31 +109,33 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
 
         vectors = np.empty((count, dim), dtype=np.float64)
         row = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if row >= count:
-                raise EmbeddingFormatError(f"{path}:{lineno}: more rows than declared count {count}")
-            if len(fields) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: row arity {len(fields) - 1} != declared dim {dim}"
-                )
-            token = fields[0]
-            if token in seen:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: duplicate token {token!r} (first at line {seen[token]})"
-                )
-            seen[token] = lineno
-            try:
-                values = [float(v) for v in fields[1:]]
-            except ValueError:
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in values):
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite value")
-            vectors[row] = values
-            tokens.append(token)
-            row += 1
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.split()
+                if not fields:  # a blank line
+                    continue
+                if row >= count:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: more rows than declared count {count}")
+                if len(fields) != dim + 1:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: row arity {len(fields) - 1} != declared dim {dim}")
+                token = fields[0]
+                if token in seen:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: duplicate token {token!r} (first at line {seen[token]})")
+                seen[token] = lineno
+                try:  # numpy parses each string with Python's float()
+                    vectors[row] = fields[1:]
+                except ValueError:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric value") from None
+                tokens.append(token)
+                row += 1
+        finally:  # the rows read so far, in bulk: a non-finite value outranks a later line's fault
+            finite = np.isfinite(vectors[:row]).all(axis=1)
+            if not finite.all():
+                first = seen[tokens[finite.argmin()]]
+                raise EmbeddingFormatError(f"{path}:{first}: non-finite value") from None
     if row != count:
         raise EmbeddingFormatError(f"{path}: declared {count} rows but found {row}")
     return EmbeddingMatrix(tokens, vectors)

@@ -21,12 +21,15 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .embeddings import AnchorMap, EmbeddingMatrix, find_anchors
 from .nnls import nnls
+
+if TYPE_CHECKING:  # scipy.sparse is imported on first use, not at `import lsimpute`
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +139,7 @@ def _boruvka_mst(
     point, which stays exact while it stays outside. Returns the (n - 1, 2)
     edges (i < j, sorted), the rounds and the rows scanned.
     """
-    from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
+    from scipy.sparse import coo_array, csgraph
 
     n = len(near)
     block = _block_rows(n)
@@ -174,8 +177,8 @@ def _boruvka_mst(
         label = comp[rows[order]]
         pick = order[np.r_[True, label[1:] != label[:-1]]]
         keys.append(lo[pick] * n + hi[pick])
-        joins = sp.coo_array((np.ones(len(pick)), (comp[lo[pick]], comp[hi[pick]])),
-                             shape=(count, count))
+        joins = coo_array((np.ones(len(pick)), (comp[lo[pick]], comp[hi[pick]])),
+                        shape=(count, count))
         count, labels = csgraph.connected_components(joins, directed=False)
         comp = labels[comp]
     mst = np.column_stack(np.divmod(np.unique(np.concatenate(keys)), n))
@@ -192,6 +195,8 @@ def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
     from the kNN lists (_boruvka_mst), scanning only rows whose list lies
     inside their component.
     """
+    from scipy.sparse import csr_array
+
     n = len(domain)
     if n < 2:
         raise ValueError(f"need at least 2 domain rows, got {n}")
@@ -207,7 +212,7 @@ def knn_mst(domain: EmbeddingMatrix, k: int) -> NeighborGraph:
 
     rows = np.concatenate([np.repeat(np.arange(n, dtype=np.int32), k), mst[:, 0]], dtype=np.int32)
     cols = np.concatenate([knn.ravel(), mst[:, 1]], dtype=np.int32)
-    a = sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    a = csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
     union = a + a.T
     union.sort_indices()
     neighbors = np.split(union.indices, union.indptr[1:-1])
@@ -250,6 +255,8 @@ def solve_weights(
     component on any neighbor) falls back to uniform weights so the matrix
     stays row-stochastic; such rows are logged and recorded.
     """
+    from scipy.sparse import csr_matrix
+
     n = len(domain)
     if graph.n != n:
         raise ValueError(f"graph has {graph.n} rows, domain has {n}")
@@ -278,7 +285,7 @@ def solve_weights(
     if fallback_rows:
         logger.warning("%d rows fell back to uniform neighbor weights", len(fallback_rows))
     row_ptr = np.cumsum([0] + [len(c) for c in cols])
-    matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), row_ptr), shape=(n, n))
+    matrix = csr_matrix((np.concatenate(data), np.concatenate(cols), row_ptr), shape=(n, n))
     return WeightMatrix(matrix, frozenset(anchors), fallback_rows)
 
 
@@ -299,7 +306,7 @@ class ImputationResult:
 def _anchor_levels(weights: WeightMatrix) -> np.ndarray:
     """Each row's hop level: 1 for anchors, otherwise 1 + the lowest level among
     the rows it depends on (W[i, j] > 0); inf when no anchor is reachable."""
-    from scipy.sparse import csgraph  # imported on first use, not at `import lsimpute`
+    from scipy.sparse import csgraph
 
     anchors = np.fromiter(weights.anchor_rows, dtype=np.int64)
     # i depends on j when W[i, j] > 0 (only positive weights are stored), so one
@@ -484,8 +491,10 @@ def lsi_pipeline(
     graph_health: dict[str, int] = {}
     if len(anchors) == len(domain):
         logger.info("domain vocabulary fully covered; nothing to impute")
-        identity = sp.identity(len(domain), format="csr")
-        weights = WeightMatrix(identity, frozenset(anchors.domain_rows()))
+        from scipy.sparse import identity
+
+        weights = WeightMatrix(identity(len(domain), format="csr"),
+                               frozenset(anchors.domain_rows()))
     else:
         graph = knn_mst(domain, cfg.k)
         graph_health = graph.health

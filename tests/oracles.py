@@ -7,6 +7,8 @@ projection steps, exhaustive scans) and shares no code with the package.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from collections import Counter
 
 import numpy as np
@@ -315,3 +317,54 @@ def build_vocabulary(corpus: list[list[str]], min_count: int) -> tuple[list[str]
         raise ValueError(f"vocabulary is empty after min_count={min_count}")
     tokens = [t for t, _ in kept]
     return tokens, np.array([c for _, c in kept], dtype=np.float64)
+
+
+def read_word2vec_text(
+    path: str, error: type[Exception] = ValueError
+) -> tuple[list[str], np.ndarray]:
+    """word2vec text, one Python float() per value: the reader as it was before
+    it parsed rows in bulk, raising `error` with the same messages."""
+    tokens: list[str] = []
+    seen: dict[str, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        parts = header.split()
+        if len(parts) != 2:
+            raise error(f"{path}:1: header must be '<count> <dim>', got {header!r}")
+        try:
+            count, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise error(f"{path}:1: non-integer header fields {header!r}") from None
+        if count < 0 or dim < 1:
+            raise error(f"{path}:1: invalid header count={count} dim={dim}")
+        st, need = os.fstat(fh.fileno()), count * 2 * (dim + 1)
+        if stat.S_ISREG(st.st_mode) and need > st.st_size:
+            raise error(f"{path}:1: header declares {count} rows of dim {dim}, "
+                        f"at least {need} bytes, but the file has {st.st_size}")
+        vectors = np.empty((count, dim), dtype=np.float64)
+        row = 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split()
+            if row >= count:
+                raise error(f"{path}:{lineno}: more rows than declared count {count}")
+            if len(fields) != dim + 1:
+                raise error(f"{path}:{lineno}: row arity {len(fields) - 1} != declared dim {dim}")
+            token = fields[0]
+            if token in seen:
+                raise error(
+                    f"{path}:{lineno}: duplicate token {token!r} (first at line {seen[token]})")
+            seen[token] = lineno
+            try:
+                values = [float(v) for v in fields[1:]]
+            except ValueError:
+                raise error(f"{path}:{lineno}: non-numeric value") from None
+            if not all(math.isfinite(v) for v in values):
+                raise error(f"{path}:{lineno}: non-finite value")
+            vectors[row] = values
+            tokens.append(token)
+            row += 1
+    if row != count:
+        raise error(f"{path}: declared {count} rows but found {row}")
+    return tokens, vectors

@@ -61,6 +61,10 @@ BAD_RUNS = {
     "extract-graph --node-type matching nothing": (
         ["extract-graph", "--dump", "{dump}", "--node-type", "ConceptTyp"],
         "has a node type in ['ConceptTyp'] (typed_subjects 0)"),
+    "pipeline --node-type matching nothing": (
+        ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}", "--node-type", "Typo"],
+        "has a node type in ['Typo'] (typed_subjects 0)"),
     "align-baseline missing --domain": (["align-baseline", "--semantic", "{semantic}",
                                          "--domain", "{absent}"], "--domain not found"),
     "evaluate --trained-vocab alone": (["evaluate", "--embeddings", "{semantic}",
@@ -158,7 +162,8 @@ def test_bad_value_exits_before_out_dir_is_created(tmp_path, capsys, case):
 
 # the rows of BAD_RUNS that fail in the stage body, once --out-dir exists
 BODY_FAULTS = ("filter-corpus empty --terms", "train-sgns blank corpus",
-               "train-sgns vocabulary empty", "extract-graph --node-type matching nothing")
+               "train-sgns vocabulary empty", "extract-graph --node-type matching nothing",
+               "pipeline --node-type matching nothing")
 
 
 @pytest.mark.parametrize("case", BODY_FAULTS)

@@ -18,6 +18,7 @@ from lsimpute import (
 from lsimpute.embeddings import EmbeddingFormatError
 
 from conftest import random_embedding
+from oracles import read_word2vec_text
 
 
 def test_read_simple_file(tmp_path):
@@ -129,6 +130,110 @@ def test_roundtrip_property(tmp_path_factory, data):
     back = read_embeddings(str(p))
     assert back.tokens == m.tokens
     assert back.vectors.tobytes() == m.vectors.tobytes()  # -0.0 and subnormals included
+
+
+def _outcome(read, path: str) -> tuple:
+    """What a reader makes of a file: tokens, shape and vector bytes, or its
+    exception's type and message."""
+    try:
+        tokens, vectors = read(path)
+    except Exception as exc:  # the type and the message are what is compared
+        return type(exc), str(exc)
+    return tokens, vectors.shape, vectors.tobytes()
+
+
+def _read_bulk(path: str) -> tuple[list[str], np.ndarray]:
+    m = read_embeddings(path)
+    return m.tokens, m.vectors
+
+
+def _read_reference(path: str) -> tuple[list[str], np.ndarray]:
+    return read_word2vec_text(path, EmbeddingFormatError)
+
+
+def test_reader_matches_reference_on_written_files(tmp_path):
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 7.0, -(2.0**60), 1e22, 1.5e-300]
+    for trial in range(30):
+        m = random_embedding(int(rng.integers(0, 12)), int(rng.integers(1, 9)), rng)
+        m.vectors[rng.random(m.vectors.shape) < 0.3] = rng.choice(special)
+        p = str(tmp_path / f"emb_{trial}.vec")
+        write_embeddings(m, p)
+        assert _outcome(_read_bulk, p) == _outcome(_read_reference, p)
+
+
+# spellings Python's float() reads, and ones it refuses or reads as non-finite
+_SPELLING = st.sampled_from(["0", "7", "-0.0", "-0", "5e-324", "-2.5e-310", "1E+3", "1e-07",
+                             "1_0", "+.5", "1.", "-12.25", "\uff11\uff12", "\u0661"]) | st.floats(
+    allow_nan=False, allow_infinity=False).map(repr)
+_FAULT = st.sampled_from(["nan", "-inf", "Infinity", "1e500", "x", "1__0", "0x10", "_1", "1e"])
+_SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\u3000"])
+_EOL = st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reader_matches_reference_on_hand_made_files(tmp_path_factory, data):
+    dim = data.draw(st.integers(1, 4))
+    faulty = data.draw(st.booleans())
+    if faulty:  # a small alphabet repeats tokens; rows may be one value short or long
+        tokens = data.draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=6))
+        values = [data.draw(st.lists(_SPELLING | _FAULT, min_size=max(1, dim - 1),
+                                     max_size=dim + 1)) for _ in tokens]
+        header = data.draw(st.sampled_from([f"{len(tokens) + d} {dim}" for d in (-1, 0, 0, 1)]
+                                           + ["nonsense", "1.5 2", "-1 2", "2 0", "3",
+                                              "1000000000 200", "1 1000000000"]))
+    else:
+        tokens = data.draw(st.lists(_TOKEN, max_size=6, unique=True))
+        values = [data.draw(st.lists(_SPELLING, min_size=dim, max_size=dim)) for _ in tokens]
+        header = f"{len(tokens)} {dim}"
+    lines = [header + data.draw(_EOL)]
+    for token, row in zip(tokens, values):
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", " ", "\t"])) + data.draw(_EOL))
+        fields = [token, *row]
+        lines.append(data.draw(st.sampled_from(["", " "])) + "".join(
+            f + data.draw(_SEP) for f in fields[:-1]) + fields[-1] + data.draw(_EOL))
+    lines.append(data.draw(st.sampled_from(["", "\n", "\n\n", " \r\n"])))
+    p = tmp_path_factory.mktemp("hand") / "emb.vec"
+    p.write_bytes("".join(lines).encode("utf-8"))
+    assert _outcome(_read_bulk, str(p)) == _outcome(_read_reference, str(p))
+
+
+# each fault alone, and pairs of faults in either order: the earlier line is reported
+_FAULTY_FILES = {
+    "bad header": "nonsense\na 1\n",
+    "non-integer header": "1 2.0\na 1 2\n",
+    "invalid header": "-1 2\n",
+    "size guard": "1000 20\na 1\n",
+    "arity": "2 2\na 1 2\nb 1\n",
+    "duplicate": "2 1\na 1\na 2\n",
+    "non-numeric": "2 1\na 1\nb x\n",
+    "nan": "2 2\na 1 2\nb 1 nan\n",
+    "inf": "2 2\na inf 2\nb 1 2\n",
+    "overflow to inf": "1 1\na 1e400\n",
+    "too many rows": "1 1\na 1\nb 2\n",
+    "too few rows": "3 1\na 1\n\nb 2\n",
+    "nan then duplicate": "4 1\na 1\nb nan\nc 3\nc 4\n",
+    "duplicate then nan": "4 1\na 1\na 2\nb nan\nc 4\n",
+    "nan then non-numeric": "3 1\na nan\nb 2\nc y\n",
+    "non-numeric then nan": "3 1\na y\nb nan\nc 2\n",
+    "nan then arity": "3 2\na 1 2\nb 1 -inf\nc 1\n",
+    "arity then nan": "3 2\na 1\nb nan 2\nc 1 2\n",
+    "nan then too many rows": "2 1\na 1\nb nan\nc 3\n",
+    "too many rows then nan": "1 1\na 1\nb nan\n",
+    "nan then too few rows": "3 1\na 1\nb nan\n",
+    "two non-finite rows": "3 1\na 1\nb inf\nc nan\n",
+}
+
+
+@pytest.mark.parametrize("case", _FAULTY_FILES)
+def test_reader_faults_match_reference(tmp_path, case):
+    p = tmp_path / "emb.vec"
+    p.write_text(_FAULTY_FILES[case])
+    want = _outcome(_read_reference, str(p))
+    assert want[0] is EmbeddingFormatError
+    assert _outcome(_read_bulk, str(p)) == want
 
 
 def test_write_read_write_byte_identical(tmp_path):

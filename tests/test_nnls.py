@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lsimpute
-from lsimpute import nnls
+from lsimpute import EmbeddingMatrix, nnls, write_embeddings
 
+from conftest import write_pipeline_fixture
 from oracles import projected_gradient_nnls
 
 
@@ -153,3 +155,34 @@ def test_import_leaves_scipy_optimize_unloaded():
             "sys.exit(', '.join(loaded) or None)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_only_impute_loads_scipy_sparse(tmp_path):
+    paths = {name: str(path) for name, path in write_pipeline_fixture(tmp_path).items()}
+    rng = np.random.default_rng(0)
+    tokens = [f"term-{i:02d}" for i in range(20)]  # the fixture's labels as tokens
+    for name, n in (("domain", 20), ("semantic", 10)):
+        paths[name] = str(tmp_path / f"{name}.vec")
+        write_embeddings(EmbeddingMatrix(tokens[:n], rng.standard_normal((n, 4))), paths[name])
+    paths["terms"] = str(tmp_path / "terms.txt")
+    Path(paths["terms"]).write_text("term-00\n")
+    runs = [["extract-graph", "--dump", paths["dump"]],
+            ["filter-corpus", "--corpus", paths["corpus"], "--terms", paths["terms"]],
+            ["evaluate", "--embeddings", paths["domain"], "--dataset", paths["dataset"]],
+            ["impute", "--semantic", paths["semantic"], "--domain", paths["domain"]]]
+    runs = [["--config", paths["config"], *argv, "--out-dir", str(tmp_path / "out")]
+            for argv in runs]
+    # whether scipy.sparse is loaded after the import, then after each command
+    code = ("import json, sys, lsimpute, lsimpute.cli\n"
+            "loaded = ['scipy.sparse' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if lsimpute.cli.main(argv):\n"
+            "        sys.exit(f'exit 1: {argv}')\n"
+            "    loaded.append('scipy.sparse' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+    src = Path(lsimpute.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, False, True]
