@@ -338,6 +338,9 @@ def cmd_extract_graph(run: Run) -> StageResult:
         raise InputError(f"the graph is empty: no labelled subject of {run.inputs['dump']} has "
                          f"a node type in {sorted(run.cfg['extraction'].node_types)} "
                          f"(typed_subjects {typed})")
+    if not graph.n_edges:
+        raise InputError(f"the graph has {graph.n_nodes} nodes but no edges: no link in "
+                         f"{run.inputs['dump']} joins two of them, so no walk can start")
     stats = degree_stats(graph)
     nodes_path, edges_path = run.outputs
     write_graph_tsv(graph, str(nodes_path), str(edges_path))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,31 +46,32 @@ class WalkConfig:
 
 @dataclass
 class WalkSampler:
-    """Adjacency that second-order steps are drawn from, and the three weights."""
+    """The graph's CSR adjacency, in plain arrays for cheap single-value reads, and the weights."""
 
-    neighbors: list[np.ndarray]  # sorted neighbor indices per node, views into the CSR
-    neighbor_sets: list[set[int]]
+    indptr: array  # array('q'): node v's sorted neighbors are indices[indptr[v]:indptr[v + 1]]
+    indices: array  # array('q') of 2m neighbor indices
     active_nodes: list[int]  # nodes with degree >= 1, walk start points
     weights: tuple[float, float, float]  # (1/p, 1, 1/q): return, common neighbor, farther
 
 
 def build_transition_tables(g: LabeledGraph, cfg: WalkConfig) -> WalkSampler:
-    """Views into the graph's CSR adjacency and neighbor sets; no per-edge table is built."""
-    if g.n_nodes == 0:
-        raise ValueError("graph is empty")
-    adj = np.split(g.indices, g.indptr[1:-1])
+    """The graph's CSR adjacency copied into two arrays; no per-edge or per-node table is built."""
+    if g.n_edges == 0:
+        raise ValueError(f"graph has {g.n_nodes} nodes but no edges, so no walk can start")
     active = np.flatnonzero(g.degrees()).tolist()
     if len(active) < g.n_nodes:
         logger.warning("%d isolated nodes excluded from walks", g.n_nodes - len(active))
-    neighbor_sets = [set(nbrs.tolist()) for nbrs in adj]
-    return WalkSampler(adj, neighbor_sets, active, (1.0 / cfg.p, 1.0, 1.0 / cfg.q))
+    indptr, indices = (array("q", a.tobytes()) for a in (g.indptr, g.indices))
+    return WalkSampler(indptr, indices, active, (1.0 / cfg.p, 1.0, 1.0 / cfg.q))
 
 
 def _weight(s: WalkSampler, t: int, x: int) -> float:
     """Unnormalized weight of stepping to x after the move t -> v (x a neighbor of v)."""
     if x == t:
         return s.weights[0]
-    return s.weights[1] if x in s.neighbor_sets[t] else s.weights[2]
+    end = s.indptr[t + 1]
+    i = bisect_left(s.indices, x, s.indptr[t], end)  # where x would sit in t's sorted row
+    return s.weights[1] if i < end and s.indices[i] == x else s.weights[2]
 
 
 def _single_walk(s: WalkSampler, start: int, length: int, rng: np.random.Generator) -> list[int]:
@@ -76,12 +79,11 @@ def _single_walk(s: WalkSampler, start: int, length: int, rng: np.random.Generat
     # u * max(weights) < weight(prev, x); the first step accepts every draw.
     # Drawing both on every trial keeps p = q = 1 walks equal to a uniform walker's.
     bound = max(s.weights)
-    walk = [start]
-    prev = -1
+    walk, prev = [start], -1
     while len(walk) < length:
-        nbrs = s.neighbors[walk[-1]]
+        row, end = s.indptr[walk[-1]], s.indptr[walk[-1] + 1]
         while True:
-            nxt = int(nbrs[rng.integers(len(nbrs))])
+            nxt = s.indices[row + rng.integers(end - row)]
             u = rng.random()
             if prev < 0 or u * bound < _weight(s, prev, nxt):
                 break
@@ -113,10 +115,8 @@ def node_tokens(g: LabeledGraph) -> list[str]:
             raise ValueError(f"node {g.node_ids[i]!r} (label {g.labels[i]!r}) gives the token "
                              f"{tok!r}, which is empty or holds whitespace")
     if collisions:
-        logger.warning(
-            "%d nodes share a normalized label with a smaller-ID node; "
-            "their tokens carry a node-ID suffix", collisions,
-        )
+        logger.warning("%d nodes share a normalized label with a smaller-ID node; "
+                       "their tokens carry a node-ID suffix", collisions)
     return tokens
 
 
@@ -131,8 +131,7 @@ def generate_walks(s: WalkSampler, g: LabeledGraph, cfg: WalkConfig) -> list[lis
     for walk_idx in range(cfg.n_walks):
         for node in s.active_nodes:
             rng = np.random.default_rng([cfg.seed, node, walk_idx])
-            walk = _single_walk(s, node, cfg.walk_length, rng)
-            corpus.append([tokens[i] for i in walk])
+            corpus.append([tokens[i] for i in _single_walk(s, node, cfg.walk_length, rng)])
     return corpus
 
 

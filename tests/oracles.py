@@ -108,6 +108,41 @@ def set_adjacency(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
     return [sorted(nbrs) for nbrs in neighbors]
 
 
+def second_order_walks(
+    n: int, pairs: list[tuple[int, int]], p: float, q: float, n_walks: int, length: int, seed: int
+) -> list[list[int]]:
+    """node2vec walks in the documented draw order, from one neighbor set per node.
+
+    Round by round, every node with a neighbor starts a walk on the stream
+    default_rng([seed, node, round]). Each trial draws integers(deg) over the
+    current node's sorted neighbor list, then random() = u, and accepts x when
+    u * max(w) < w(t, x), with w = 1/p back to t, 1 to a neighbor of t and
+    1/q otherwise; the first step accepts its first draw.
+    """
+    nbrs = set_adjacency(n, pairs)
+    sets = [set(row) for row in nbrs]
+    weights = (1.0 / p, 1.0, 1.0 / q)
+    walks = []
+    for walk_idx in range(n_walks):
+        for node in (v for v in range(n) if nbrs[v]):
+            rng = np.random.default_rng([seed, node, walk_idx])
+            walk = [node]
+            while len(walk) < length:
+                row = nbrs[walk[-1]]
+                while True:
+                    x = row[rng.integers(len(row))]
+                    u = rng.random()
+                    if len(walk) == 1:
+                        break
+                    t = walk[-2]
+                    w = weights[0] if x == t else weights[1] if x in sets[t] else weights[2]
+                    if u * max(weights) < w:
+                        break
+                walk.append(x)
+            walks.append(walk)
+    return walks
+
+
 def naive_filter(sentences: list[str], terms: set[str]) -> list[str]:
     """Per-sentence scan: keep unless some token (punctuation-stripped,
     lower-cased) equals a term or a term plus 's' or 'es'."""

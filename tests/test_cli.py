@@ -65,6 +65,14 @@ BAD_RUNS = {
         ["--config", "{config}", "pipeline", "--dump", "{dump}", "--corpus", "{corpus}",
          "--dataset", "{dataset}", "--node-type", "Typo"],
         "has a node type in ['Typo'] (typed_subjects 0)"),
+    "extract-graph without links": (
+        ["extract-graph", "--dump", "{unlinked}", "--node-type", "ConceptType"],
+        "the graph has 2 nodes but no edges: no link in {unlinked} joins two of them"),
+    "pipeline without links": (
+        ["--config", "{config}", "pipeline", "--dump", "{unlinked}", "--corpus", "{corpus}",
+         "--dataset", "{dataset}"], "the graph has 2 nodes but no edges"),
+    "node2vec without edges": (["node2vec", "--nodes", "{nodes}", "--edges", "{empty}"],
+                               "graph has 4 nodes but no edges"),
     "align-baseline missing --domain": (["align-baseline", "--semantic", "{semantic}",
                                          "--domain", "{absent}"], "--domain not found"),
     "evaluate --trained-vocab alone": (["evaluate", "--embeddings", "{semantic}",
@@ -134,10 +142,12 @@ def _stage_inputs(tmp_path) -> dict[str, str]:
     (tmp_path / "no_types.json").write_text(json.dumps({"extraction": {"node_types": []}}))
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "blank.txt").write_text("\n  \n\n")
+    (tmp_path / "unlinked.nt").write_text("".join(  # two typed, labelled nodes and no link
+        f'<{n}> <{RDF_TYPE}> <ConceptType> .\n<{n}> <{RDFS_LABEL}> "{n}" .\n' for n in "ab"))
     (tmp_path / "run").mkdir()  # an --out-dir holding an input named as an output
     (tmp_path / "run" / "imputed.vec").write_bytes((tmp_path / "semantic.vec").read_bytes())
     for name in ("nodes.tsv", "edges.tsv", "domain.vec", "semantic.vec", "terms.txt",
-                 "no_types.json", "empty.txt", "blank.txt"):
+                 "no_types.json", "empty.txt", "blank.txt", "unlinked.nt"):
         paths[name.split(".")[0]] = tmp_path / name
     paths.update(absent=tmp_path / "absent.txt", nodir=tmp_path / "nodir",
                  out=tmp_path / "new_out", run=tmp_path / "run",
@@ -163,7 +173,8 @@ def test_bad_value_exits_before_out_dir_is_created(tmp_path, capsys, case):
 # the rows of BAD_RUNS that fail in the stage body, once --out-dir exists
 BODY_FAULTS = ("filter-corpus empty --terms", "train-sgns blank corpus",
                "train-sgns vocabulary empty", "extract-graph --node-type matching nothing",
-               "pipeline --node-type matching nothing")
+               "pipeline --node-type matching nothing", "extract-graph without links",
+               "pipeline without links", "node2vec without edges")
 
 
 @pytest.mark.parametrize("case", BODY_FAULTS)

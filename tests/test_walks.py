@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from lsimpute import LabeledGraph, WalkConfig, build_transition_tables, generate_walks
 from lsimpute.walks import WalkSampler, _single_walk, _weight, node_tokens, read_corpus, write_corpus
 
+from oracles import second_order_walks
+
 
 def _triangle() -> LabeledGraph:
     return LabeledGraph(["a", "b", "c"], ["A", "B", "C"], {(0, 1), (1, 2), (0, 2)})
@@ -28,9 +30,10 @@ def _directed_edges(g: LabeledGraph) -> list[tuple[int, int]]:
 
 def transition_probabilities(s: WalkSampler, t: int, v: int) -> np.ndarray:
     """The sampler's normalized step distribution over v's neighbors for state (t -> v)."""
-    if t not in s.neighbor_sets[v]:
+    nbrs = s.indices[s.indptr[v]:s.indptr[v + 1]].tolist()
+    if t not in nbrs:
         raise ValueError(f"{t} is not a neighbor of {v}")
-    weights = np.array([_weight(s, t, x) for x in s.neighbors[v].tolist()])
+    weights = np.array([_weight(s, t, x) for x in nbrs])
     return weights / weights.sum()
 
 
@@ -117,7 +120,7 @@ def test_sampled_steps_match_transition_probabilities(p, q):
     walks = [_single_walk(sampler, 0, 3, rng) for _ in range(60_000)]
     steps = np.array([w[2] for w in walks if w[1] == 1])
     assert len(steps) > 25_000
-    for x, prob in zip(sampler.neighbors[1].tolist(), probs):
+    for x, prob in zip(sampler.indices[sampler.indptr[1]:sampler.indptr[2]], probs):
         freq = (steps == x).mean()
         sigma = np.sqrt(prob * (1 - prob) / len(steps))
         assert abs(freq - prob) < 3 * sigma
@@ -144,6 +147,23 @@ def test_unbiased_walks_match_uniform_walker():
                 walker.random()
             expected.append([tokens[i] for i in walk])
     assert generate_walks(build_transition_tables(g, cfg), g, cfg) == expected
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.25, 4.0), (4.0, 0.25)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_biased_walks_match_second_order_oracle(p, q, seed):
+    # random chords, hubs 0 and 1 each linked to every second node, and two
+    # isolated nodes; the oracle tests adjacency in sets built from g.edges
+    rng = np.random.default_rng(seed)
+    n = 40
+    edges = {(i, j) for i in range(n - 2) for j in range(i + 1, n - 2) if rng.random() < 0.05}
+    g = _graph(n, edges | {(h, t) for h in (0, 1) for t in range(h + 2, n - 2, 2)})
+    assert g.n_nodes - len(build_transition_tables(g, WalkConfig()).active_nodes) >= 2
+    cfg = WalkConfig(p=p, q=q, n_walks=2, walk_length=25, seed=seed + 3)
+    tokens = node_tokens(g)
+    expected = second_order_walks(n, g.edges.tolist(), p, q, cfg.n_walks, cfg.walk_length, cfg.seed)
+    walks = generate_walks(build_transition_tables(g, cfg), g, cfg)
+    assert walks == [[tokens[i] for i in walk] for walk in expected]
 
 
 def test_walk_count_and_length():
